@@ -18,16 +18,8 @@ from .model import (
     NumericError,
     Tabulated,
     Zero,
-    effective_sample_size,
-    two_class_effective_sample_size,
 )
-from .weighting import (
-    WeightedSample,
-    importance_weight,
-    importance_weights,
-    point_importance_weights,
-    weighted_mean,
-)
+from .weighting import point_importance_weights
 from .kliep import (
     COMPLETE_CASE,
     FULLY_OBSERVED,
@@ -38,14 +30,7 @@ from .kliep import (
     normalizing_constant,
     sample_objective,
 )
-from .fdiv import (
-    DivergenceSpec,
-    divergence_spec,
-    fdiv_fit,
-    fdiv_objective,
-    js_divergence_spec,
-    kl_divergence_spec,
-)
+from .fdiv import fdiv_fit, fdiv_objective
 from .naive_bayes import NaiveBayesRatioModel, evaluate_log_ratio, fit_naive_bayes
 from .np_classify import (
     NpClassifier,
@@ -53,13 +38,11 @@ from .np_classify import (
     build_np_classifier,
     classify,
     delta_margin,
-    estimate_errors,
     threshold_binomial,
     threshold_missing,
 )
 from .missingness import (
     AdjustedLogisticFit,
-    QueryBudgetPlan,
     fit_adjusted_logistic,
     learn_missingness,
     simulate_query,

@@ -20,6 +20,7 @@ byte-identical.  Flags override values from an optional ``--config`` file of
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -194,6 +195,11 @@ def _cmd_classify(args) -> int:
     )
     rows = []
     for ds in (class0, class1):
+        if not ds.fully_observed:
+            raise DataError(
+                f"class {ds.label} has missing entries; classify needs fully "
+                "observed points"
+            )
         scores = clf.score_fn(ds.values)
         labels = np_classify_points(clf, ds.values)
         for truth, score, label in zip(
@@ -365,7 +371,10 @@ def _cmd_experiment(args) -> int:
         rows = experiments.run_power_experiment(cfg)
     else:
         raise _UsageError(f"unknown experiment kind {args.kind!r}")
-    meta["config_hash"] = dataio.config_hash(vars(args))
+    # The worker count does not change results, so it stays out of the hash.
+    settings = dataclasses.asdict(cfg)
+    del settings["workers"]
+    meta["config_hash"] = dataio.config_hash(settings)
     dataio.write_table_csv(args.out, rows, meta=meta)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -403,13 +403,15 @@ def missingness_to_text(phi: MissingnessFunction) -> str:
         if isinstance(e, Zero):
             lines.append(f"{j} = zero")
         elif isinstance(e, ConstantProb):
-            lines.append(f"{j} = constant {repr(e.p)}")
+            lines.append(f"{j} = constant {float(e.p)!r}")
         elif isinstance(e, LogisticScalar):
-            lines.append(f"{j} = logistic {repr(e.a0)} {repr(e.a1)} {e.tau}")
+            lines.append(
+                f"{j} = logistic {float(e.a0)!r} {float(e.a1)!r} {e.tau}"
+            )
         elif isinstance(e, HalfspaceIndicator) and e.direction.shape == (1,):
             side = "above" if e.direction[0] > 0 else "below"
             level = e.level / e.direction[0]
-            lines.append(f"{j} = step {repr(float(level))} {repr(e.p)} {side}")
+            lines.append(f"{j} = step {float(level)!r} {float(e.p)!r} {side}")
         else:
             raise DataError(f"entry {j} has no text form: {type(e).__name__}")
     return "\n".join(lines) + "\n"
@@ -424,34 +426,44 @@ def missingness_from_text(text: str) -> MissingnessFunction:
             continue
         key, _, rest = stripped.partition("=")
         key, rest = key.strip(), rest.strip()
-        if key == "dims":
-            dims = int(rest)
-            continue
-        j = int(key)
-        parts = rest.split()
-        kind = parts[0]
-        if kind == "zero":
-            entries_by_index[j] = Zero()
-        elif kind == "constant":
-            entries_by_index[j] = ConstantProb(p=float(parts[1]))
-        elif kind == "logistic":
-            entries_by_index[j] = LogisticScalar(
-                a0=float(parts[1]), a1=float(parts[2]), tau=int(parts[3])
-            )
-        elif kind == "step":
-            level, p, side = float(parts[1]), float(parts[2]), parts[3]
-            direction = np.array([1.0 if side == "above" else -1.0])
-            entries_by_index[j] = HalfspaceIndicator(
-                direction=direction,
-                level=level if side == "above" else -level,
-                p=p,
-            )
-        else:
-            raise DataError(f"line {line_num}: unknown missingness kind {kind!r}")
+        # Any unparsable field, missing part or bad value lands in the except.
+        try:
+            if key == "dims":
+                dims = int(rest)
+                continue
+            j = int(key)
+            if j < 0:
+                raise ValueError("negative coordinate index")
+            parts = rest.split()
+            kind = parts[0]
+            if kind == "zero":
+                entries_by_index[j] = Zero()
+            elif kind == "constant":
+                entries_by_index[j] = ConstantProb(p=float(parts[1]))
+            elif kind == "logistic":
+                entries_by_index[j] = LogisticScalar(
+                    a0=float(parts[1]), a1=float(parts[2]), tau=int(parts[3])
+                )
+            elif kind == "step" and parts[3] in ("above", "below"):
+                level, p, side = float(parts[1]), float(parts[2]), parts[3]
+                direction = np.array([1.0 if side == "above" else -1.0])
+                entries_by_index[j] = HalfspaceIndicator(
+                    direction=direction,
+                    level=level if side == "above" else -level,
+                    p=p,
+                )
+            else:
+                raise ValueError(f"unknown missingness kind {kind!r}")
+        except (ValueError, IndexError) as exc:
+            raise DataError(
+                f"line {line_num}: malformed missingness entry {stripped!r} ({exc})"
+            ) from None
     if dims is None:
         dims = (max(entries_by_index) + 1) if entries_by_index else 0
     if dims < 1:
         raise DataError("missingness file declares no coordinates")
+    if entries_by_index and max(entries_by_index) >= dims:
+        raise DataError(f"missingness entry index outside the {dims} declared dims")
     entries = [entries_by_index.get(j, Zero()) for j in range(dims)]
     return MissingnessFunction.per_coordinate(entries)
 
@@ -552,7 +564,7 @@ def classifier_to_text(clf: NpClassifier) -> str:
             ("method", clf.method),
             ("alpha", repr(float(clf.alpha))),
             ("delta", repr(float(clf.delta))),
-            ("transform", clf.transform),
+            ("transform", "log"),  # scores are always the log ratio
             ("threshold", repr(float(clf.threshold))),
             ("i_star", "none" if p.order_index is None else str(p.order_index)),
             ("margin", "none" if p.margin is None else repr(float(p.margin))),
@@ -573,6 +585,8 @@ def classifier_from_text(text: str) -> NpClassifier:
     kv = _kv_from_text(text)
     if kv.get("kind") != "np-classifier":
         raise DataError("not a classifier file")
+    if kv.get("transform", "log") != "log":
+        raise DataError(f"unsupported score transform {kv['transform']!r}")
     model_text = "\n".join(
         f"{k[len('model.'):]} = {v}" for k, v in kv.items() if k.startswith("model.")
     )
@@ -593,7 +607,6 @@ def classifier_from_text(text: str) -> NpClassifier:
         delta=float(kv["delta"]),
         method=kv["method"],
         provenance=provenance,
-        transform=kv.get("transform", "log"),
         margin_constant=float(kv.get("margin_constant", "16.0")),
         model=model,
     )

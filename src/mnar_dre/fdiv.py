@@ -13,14 +13,14 @@ exactly, which removes every f* domain hazard:
                                  f'(r) = log2 + s - softplus(s)
                                  f*(f'(r)) = softplus(s) - log2
 
-with softplus(s) = log(1 + e^s).  Both empirical terms take the same
-inverse-probability weights as the KLIEP objective under MNAR data.
+with softplus(s) = log(1 + e^s).  The estimators work only with these
+composed forms, so a divergence is chosen by its name ``kind``, "kl" or
+"js".  Both empirical terms take the same inverse-probability weights as the
+KLIEP objective under MNAR data, and the fit shares its body with
+``kliep.fit``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -30,61 +30,21 @@ from .kliep import (
     KliepFitConfig,
     ObjectiveValue,
     WeightingMode,
-    _check_class0_variance,
+    _fit_log_linear,
     class_terms,
 )
 from .model import Dataset, FeatureMap, LogLinearRatioModel
-from .optimize import gradient_descent
 
 _LOG2 = float(np.log(2.0))
-
-
-@dataclass(frozen=True, eq=False)
-class DivergenceSpec:
-    """An f-divergence choice: f' and the convex conjugate f*.
-
-    ``fprime``/``fstar`` are the textbook maps (of r and of t respectively),
-    kept for reference and testing; the estimators use the exact composed
-    forms in log-ratio space.
-    """
-
-    kind: str
-    fprime: Callable[[np.ndarray], np.ndarray]
-    fstar: Callable[[np.ndarray], np.ndarray]
-    fstar_domain: tuple[float, float]
-
-
-def kl_divergence_spec() -> DivergenceSpec:
-    return DivergenceSpec(
-        kind="kl",
-        fprime=lambda t: 1.0 + np.log(t),
-        fstar=lambda t: np.exp(t - 1.0),
-        fstar_domain=(-np.inf, np.inf),
-    )
-
-
-def js_divergence_spec() -> DivergenceSpec:
-    return DivergenceSpec(
-        kind="js",
-        fprime=lambda t: np.log(2.0 * t / (1.0 + t)),
-        fstar=lambda t: -np.log(2.0 - np.exp(t)),
-        fstar_domain=(-np.inf, _LOG2),
-    )
-
-
-def divergence_spec(kind: str) -> DivergenceSpec:
-    if kind == "kl":
-        return kl_divergence_spec()
-    if kind == "js":
-        return js_divergence_spec()
-    raise ValueError(f"unknown divergence {kind!r} (choose 'kl' or 'js')")
 
 
 class _FdivCore:
     """Weighted empirical f-divergence objective in log-ratio space."""
 
-    def __init__(self, t1: ClassTerms, t0: ClassTerms, spec: DivergenceSpec):
-        self.kind = spec.kind
+    def __init__(self, t1: ClassTerms, t0: ClassTerms, kind: str):
+        if kind not in ("kl", "js"):
+            raise ValueError(f"unknown divergence {kind!r} (choose 'kl' or 'js')")
+        self.kind = kind
         self.f1, self.w1, self.div1 = t1.features, t1.weights, t1.divisor
         self.f0, self.w0, self.div0 = t0.features, t0.weights, t0.divisor
 
@@ -102,7 +62,7 @@ class _FdivCore:
             grad = -(self.w1 @ self.f1) / self.div1 + (
                 (self.w0 * e0) @ self.f0
             ) / self.div0
-        elif self.kind == "js":
+        else:
             sp1 = np.logaddexp(0.0, s1)  # softplus
             sp0 = np.logaddexp(0.0, s0)
             fprime1 = _LOG2 + s1 - sp1
@@ -112,8 +72,6 @@ class _FdivCore:
             grad = -((self.w1 * expit(-s1)) @ self.f1) / self.div1 + (
                 (self.w0 * expit(s0)) @ self.f0
             ) / self.div0
-        else:
-            raise ValueError(f"unknown divergence {self.kind!r}")
         return float(term0 - term1), grad
 
 
@@ -122,12 +80,13 @@ def fdiv_objective(
     class1: Dataset,
     class0: Dataset,
     fmap: FeatureMap,
-    spec: DivergenceSpec,
+    kind: str,
     mode: WeightingMode = "fully-observed",
 ) -> ObjectiveValue:
-    """Negated weighted f-divergence objective and its exact gradient."""
+    """Negated weighted f-divergence objective (``kind`` "kl" or "js") and its
+    exact gradient."""
     core = _FdivCore(
-        class_terms(class1, fmap, mode, 1), class_terms(class0, fmap, mode, 0), spec
+        class_terms(class1, fmap, mode, 1), class_terms(class0, fmap, mode, 0), kind
     )
     loss, grad = core.value_and_grad(np.asarray(theta, dtype=float))
     return ObjectiveValue(loss=loss, gradient=grad)
@@ -137,29 +96,10 @@ def fdiv_fit(
     class1: Dataset,
     class0: Dataset,
     fmap: FeatureMap,
-    spec: DivergenceSpec,
+    kind: str,
     config: KliepFitConfig | None = None,
 ) -> LogLinearRatioModel:
     """Fit the log-linear model by maximizing the chosen f-divergence bound."""
-    config = config or KliepFitConfig()
-    t1 = class_terms(class1, fmap, config.weighting_mode, 1)
-    t0 = class_terms(class0, fmap, config.weighting_mode, 0)
-    _check_class0_variance(t0)
-    core = _FdivCore(t1, t0, spec)
-    theta0 = (
-        np.zeros(fmap.output_dim)
-        if config.theta_init is None
-        else np.asarray(config.theta_init, dtype=float)
-    )
-    result = gradient_descent(
-        core.value_and_grad,
-        theta0,
-        grad_tol=config.grad_tol,
-        max_iters=config.max_iters,
-        init_step=config.init_step,
-        armijo_c=config.armijo_c,
-        shrink=config.backtrack,
-    )
-    return LogLinearRatioModel(
-        theta=result.theta, feature_map=fmap, converged=result.converged
+    return _fit_log_linear(
+        class1, class0, fmap, config, lambda t1, t0: _FdivCore(t1, t0, kind)
     )

@@ -21,8 +21,8 @@ computed with max-shift stabilization.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from typing import Callable, Union
 
 import numpy as np
 from scipy.special import logsumexp
@@ -58,20 +58,12 @@ class KliepFitConfig:
     weighting_mode: WeightingMode = FULLY_OBSERVED
     max_iters: int = 10_000
     grad_tol: float = 1e-8
-    init_step: float = 1.0
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    theta_init: np.ndarray | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack shrink factor must lie in (0, 1)")
-        if not (self.init_step > 0.0 and 0.0 < self.armijo_c < 1.0):
-            raise ValueError("invalid line search parameters")
         mode = self.weighting_mode
         if not isinstance(mode, Mnar) and mode not in (FULLY_OBSERVED, COMPLETE_CASE):
             raise ValueError(f"unknown weighting mode {mode!r}")
@@ -176,8 +168,36 @@ def _check_class0_variance(t0: ClassTerms) -> None:
             "class-0 feature second-moment matrix is (near-)degenerate; the "
             "fit may be ill-conditioned",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
+
+
+def _fit_log_linear(
+    class1: Dataset,
+    class0: Dataset,
+    fmap: FeatureMap,
+    config: KliepFitConfig | None,
+    make_core: Callable,
+) -> LogLinearRatioModel:
+    """Fit body shared by the KLIEP and f-divergence estimators.
+
+    ``make_core`` turns the two classes' terms into an object whose
+    ``value_and_grad`` is minimized from theta = 0.
+    """
+    config = config or KliepFitConfig()
+    t1 = class_terms(class1, fmap, config.weighting_mode, 1)
+    t0 = class_terms(class0, fmap, config.weighting_mode, 0)
+    _check_class0_variance(t0)
+    core = make_core(t1, t0)
+    result = gradient_descent(
+        core.value_and_grad,
+        np.zeros(fmap.output_dim),
+        grad_tol=config.grad_tol,
+        max_iters=config.max_iters,
+    )
+    return LogLinearRatioModel(
+        theta=result.theta, feature_map=fmap, converged=result.converged
+    )
 
 
 def fit(
@@ -192,28 +212,7 @@ def fit(
     not reached within the iteration budget (small samples legitimately put
     the optimum in flat or unbounded regions); the normalizer is left unset.
     """
-    config = config or KliepFitConfig()
-    t1 = class_terms(class1, fmap, config.weighting_mode, 1)
-    t0 = class_terms(class0, fmap, config.weighting_mode, 0)
-    _check_class0_variance(t0)
-    core = _KliepCore(t1, t0)
-    theta0 = (
-        np.zeros(fmap.output_dim)
-        if config.theta_init is None
-        else np.asarray(config.theta_init, dtype=float)
-    )
-    result = gradient_descent(
-        core.value_and_grad,
-        theta0,
-        grad_tol=config.grad_tol,
-        max_iters=config.max_iters,
-        init_step=config.init_step,
-        armijo_c=config.armijo_c,
-        shrink=config.backtrack,
-    )
-    return LogLinearRatioModel(
-        theta=result.theta, feature_map=fmap, converged=result.converged
-    )
+    return _fit_log_linear(class1, class0, fmap, config, _KliepCore)
 
 
 def normalizing_constant(

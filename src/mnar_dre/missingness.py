@@ -18,22 +18,12 @@ from scipy.special import expit
 
 from .model import Dataset, DataError, LogisticScalar, MissingnessFunction, Zero
 
-UNIFORM_WITHOUT_REPLACEMENT = "uniform-without-replacement"
 _COEF_CAP = 30.0
 
 
-@dataclass(frozen=True)
-class QueryBudgetPlan:
-    """How many missing entries to query per coordinate, and how to pick them."""
-
-    m_q: int
-    selection_rule: str = UNIFORM_WITHOUT_REPLACEMENT
-
-    def __post_init__(self):
-        if self.m_q < 0:
-            raise ValueError("query budget must be non-negative")
-        if self.selection_rule != UNIFORM_WITHOUT_REPLACEMENT:
-            raise ValueError("only uniform-without-replacement selection is supported")
+def _check_budget(m_q: int) -> None:
+    if m_q < 0:
+        raise DataError(f"query budget must be non-negative, got {m_q}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,16 +61,16 @@ class AdjustedLogisticFit:
 def simulate_query(
     column: np.ndarray,
     latent: np.ndarray,
-    plan: QueryBudgetPlan | int,
+    m_q: int,
     rng: np.random.Generator | int,
 ) -> QuerySubsample:
-    """Query the latent values of ``m_q`` uniformly chosen missing entries.
+    """Query the latent values of ``m_q`` missing entries, chosen uniformly
+    without replacement.
 
     The subsample is all observed indices plus the queried missing ones, each
     labelled by whether it had been missing.  Deterministic per seed.
     """
-    if isinstance(plan, int):
-        plan = QueryBudgetPlan(m_q=plan)
+    _check_budget(m_q)
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     column = np.asarray(column, dtype=float)
@@ -89,12 +79,12 @@ def simulate_query(
         raise ValueError("column and latent values must be 1-D of equal length")
     missing = np.isnan(column)
     n_missing = int(missing.sum())
-    if plan.m_q > n_missing:
+    if m_q > n_missing:
         raise DataError(
-            f"query budget {plan.m_q} exceeds the {n_missing} missing entries"
+            f"query budget {m_q} exceeds the {n_missing} missing entries"
         )
     observed_idx = np.flatnonzero(~missing)
-    queried_idx = rng.choice(np.flatnonzero(missing), size=plan.m_q, replace=False)
+    queried_idx = rng.choice(np.flatnonzero(missing), size=m_q, replace=False)
     queried_idx = np.sort(queried_idx)
     indices = np.concatenate([observed_idx, queried_idx])
     values = np.concatenate([column[observed_idx], latent[queried_idx]])
@@ -107,7 +97,7 @@ def simulate_query(
         labels=labels,
         n_total=column.size,
         n_missing=n_missing,
-        n_queried=plan.m_q,
+        n_queried=m_q,
     )
 
 
@@ -158,14 +148,16 @@ def fit_adjusted_logistic(subsample: QuerySubsample) -> AdjustedLogisticFit:
 def learn_missingness(
     corrupted: Dataset,
     latent: Dataset,
-    plan: QueryBudgetPlan | int,
+    m_q: int,
     seed: int | np.random.Generator,
 ) -> MissingnessFunction:
-    """Learn a per-coordinate logistic missingness function by querying.
+    """Learn a per-coordinate logistic missingness function by querying
+    ``m_q`` missing entries of each coordinate.
 
     Coordinates without missing entries get a Zero entry.  Each coordinate is
     learned from its own column only.
     """
+    _check_budget(m_q)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if corrupted.values.shape != latent.values.shape:
         raise DataError("corrupted and latent datasets must have matching shapes")
@@ -175,6 +167,6 @@ def learn_missingness(
         if not np.isnan(column).any():
             entries.append(Zero())
             continue
-        sub = simulate_query(column, latent.column(j), plan, rng)
+        sub = simulate_query(column, latent.column(j), m_q, rng)
         entries.append(fit_adjusted_logistic(sub).missingness_entry())
     return MissingnessFunction.per_coordinate(entries)

@@ -77,11 +77,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_missing(x) -> np.ndarray:
-    """Elementwise missing-mark test (NaN is the mark)."""
-    return np.isnan(np.asarray(x, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # Missingness functions
 # ---------------------------------------------------------------------------
@@ -442,30 +437,3 @@ class LogLinearRatioModel:
 
     def with_normalizer(self, value: float) -> "LogLinearRatioModel":
         return replace(self, normalizer=float(value))
-
-
-# ---------------------------------------------------------------------------
-# Operations
-# ---------------------------------------------------------------------------
-
-
-def effective_sample_size(n: int, phi_sup: float) -> float:
-    """Effective sample size n * (1 - phi_sup) of one class.
-
-    The two-class effective size is the minimum of the per-class values.
-    """
-    if n <= 0:
-        raise ValueError("sample size must be positive")
-    if not 0.0 <= phi_sup:
-        raise ValueError("missingness supremum must be non-negative")
-    if phi_sup >= 1.0:
-        raise ValueError("missingness probability must be bounded away from 1")
-    return n * (1.0 - phi_sup)
-
-
-def two_class_effective_sample_size(
-    n1: int, phi1_sup: float, n0: int, phi0_sup: float
-) -> float:
-    return min(
-        effective_sample_size(n0, phi0_sup), effective_sample_size(n1, phi1_sup)
-    )

@@ -216,7 +216,6 @@ class NpClassifier:
     delta: float
     method: str
     provenance: ThresholdResult
-    transform: str = "log"
     margin_constant: float = PAPER_MARGIN_CONSTANT
     model: RatioModel | None = None
 
@@ -319,18 +318,3 @@ def classify(clf: NpClassifier, z: np.ndarray) -> np.ndarray:
     if clf.threshold == -math.inf:
         return np.ones(z.shape[0], dtype=int)
     return (clf.score_fn(z) > clf.threshold).astype(int)
-
-
-def estimate_errors(
-    clf: NpClassifier, test0: Dataset, test1: Dataset
-) -> dict[str, float]:
-    """Empirical Type I error and power on fully observed test sets."""
-    for t in (test0, test1):
-        if t.n == 0:
-            raise DataError("empty test set")
-        if not t.fully_observed:
-            raise DataError("error estimation requires fully observed test data")
-    return {
-        "type1": float(classify(clf, test0.values).mean()),
-        "power": float(classify(clf, test1.values).mean()),
-    }

@@ -1,6 +1,7 @@
 """Deterministic full-batch gradient descent with Armijo backtracking.
 
-Shared by every estimator in the package.  The loop is intentionally plain:
+Shared by the KLIEP and f-divergence fits (through ``kliep``); missingness
+learning runs its own Newton loop.  The loop is intentionally plain:
 fixed evaluation order, no randomness, so a fit is bit-reproducible for a
 given objective and configuration.
 """

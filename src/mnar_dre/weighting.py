@@ -1,77 +1,21 @@
-"""Importance-weighted estimation of expectations from MNAR samples.
+"""Inverse-probability weights for MNAR samples.
 
-The identity behind everything here: for data where an observation goes
-missing with probability phi(z) depending on its true value z,
+The identity behind the weighted estimators: for data where an observation
+goes missing with probability phi(z) depending on its true value z,
 
     E[g(Z)] = E[ 1{X observed} / (1 - phi(X)) * g(X) ],
 
 so reweighting observed points by 1/(1 - phi) and keeping the divisor at the
-*total* count n (missing included) restores unbiased plain averages.
+*total* count n (missing included) restores unbiased plain averages.  The
+estimators take their weights from ``point_importance_weights`` and keep the
+divisor at n (see ``kliep.class_terms``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import (
-    MAX_WEIGHT,
-    MissingnessFunction,
-    clamp_missing_prob,
-    _freeze,
-)
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedSample:
-    """Values paired with non-negative inverse-probability weights.
-
-    A weight of 0 marks a source point that was missing; its value slot is a
-    placeholder (builders store 0.0 there).  Weights are capped at 1/EPS_PHI
-    by the clamp on phi.
-    """
-
-    values: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or v.shape[0] != w.shape[0]:
-            raise ValueError("values and weights must share their first dimension")
-        if v.shape[0] == 0:
-            raise ValueError("weighted sample must be non-empty")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite (store 0.0 in missing slots)")
-        if np.any(w < 0.0) or np.any(w > MAX_WEIGHT * (1.0 + 1e-12)):
-            raise ValueError(f"weights must lie in [0, {MAX_WEIGHT:g}]")
-        object.__setattr__(self, "values", _freeze(v))
-        object.__setattr__(self, "weights", _freeze(w))
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-
-def importance_weight(x: float, phi_entry) -> float:
-    """Weight of a single coordinate observation: 0 if missing, else 1/(1 - phi(x))."""
-    if np.isnan(x):
-        return 0.0
-    p = clamp_missing_prob(phi_entry.prob(np.array([x])))[0]
-    return 1.0 / (1.0 - p)
-
-
-def importance_weights(column: np.ndarray, phi_entry) -> np.ndarray:
-    """Vectorized importance weights for one coordinate column with NaN marks."""
-    column = np.asarray(column, dtype=float)
-    missing = np.isnan(column)
-    w = np.zeros(column.shape[0])
-    if not missing.all():
-        obs = column[~missing]
-        p = clamp_missing_prob(phi_entry.prob(obs))
-        w[~missing] = 1.0 / (1.0 - p)
-    return w
+from .model import MAX_WEIGHT, MissingnessFunction
 
 
 def point_importance_weights(
@@ -82,7 +26,8 @@ def point_importance_weights(
     Rows with any missing coordinate get weight 0; fully observed rows get
     1/(1 - phi(z)).  For per-coordinate missingness the observation
     probability factorizes, so the weight of a fully observed row is the
-    product of its coordinate weights.
+    product of its coordinate weights, capped at ``MAX_WEIGHT``.  Each entry's
+    ``prob`` already clamps phi to at most 1 - EPS_PHI.
     """
     values = np.asarray(values, dtype=float)
     observed = ~np.isnan(values).any(axis=1)
@@ -91,50 +36,10 @@ def point_importance_weights(
         return w
     obs = values[observed]
     if phi.joint:
-        p = clamp_missing_prob(phi.point_prob(obs))
-        w[observed] = 1.0 / (1.0 - p)
+        w[observed] = 1.0 / (1.0 - phi.point_prob(obs))
     else:
         prod = np.ones(obs.shape[0])
         for j in range(phi.dim):
-            p = clamp_missing_prob(phi.coord_prob(j, obs[:, j]))
-            prod *= 1.0 / (1.0 - p)
+            prod *= 1.0 / (1.0 - phi.coord_prob(j, obs[:, j]))
         w[observed] = np.minimum(prod, MAX_WEIGHT)
     return w
-
-
-def naive_sum(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Sequential left-to-right summation (bit-reproducible index order)."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return np.zeros(a.shape[:axis] + a.shape[axis + 1 :])
-    # cumsum accumulates strictly in index order, so its last slice is the
-    # naive running total.
-    return np.take(np.cumsum(a, axis=axis), -1, axis=axis)
-
-
-def weighted_mean(sample: WeightedSample, method: str = "naive") -> np.ndarray | float:
-    """Unbiased estimate (1/n) * sum_i w_i v_i of E[g(Z)].
-
-    The divisor is the total count n including missing points, not the number
-    observed.  ``method`` selects the reduction order: "naive" (sequential,
-    the default, bit-reproducible) or "pairwise" (numpy's tree reduction).
-    """
-    contrib = sample.values * (
-        sample.weights if sample.values.ndim == 1 else sample.weights[:, None]
-    )
-    if method == "naive":
-        total = naive_sum(contrib, axis=0)
-    elif method == "pairwise":
-        total = contrib.sum(axis=0)
-    else:
-        raise ValueError("summation method must be 'naive' or 'pairwise'")
-    out = total / sample.n
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def from_column(column: np.ndarray, phi_entry) -> WeightedSample:
-    """Build a weighted sample from one coordinate column with NaN marks."""
-    column = np.asarray(column, dtype=float)
-    w = importance_weights(column, phi_entry)
-    values = np.where(np.isnan(column), 0.0, column)
-    return WeightedSample(values=values, weights=w)

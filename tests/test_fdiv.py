@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from mnar_dre.fdiv import (
-    divergence_spec,
-    fdiv_fit,
-    fdiv_objective,
-    js_divergence_spec,
-    kl_divergence_spec,
-)
+from mnar_dre.fdiv import fdiv_fit, fdiv_objective
 from mnar_dre.kliep import FULLY_OBSERVED, KliepFitConfig, Mnar, sample_objective
 from mnar_dre.model import (
     Dataset,
@@ -34,26 +28,60 @@ def _corrupted_pair(rng, n=300, d=2):
     return Dataset(phi1.corrupt(z1, rng), 1), Dataset(z0, 0), Mnar(phi1, phi0)
 
 
+# Textbook maps of the two divergences: f' of the ratio r and the convex
+# conjugate f* of t.  The estimator never evaluates them; it works with the
+# composed forms in log-ratio space, which these oracles check.
+TEXTBOOK = {
+    "kl": (lambda r: 1.0 + np.log(r), lambda t: np.exp(t - 1.0)),
+    "js": (lambda r: np.log(2.0 * r / (1.0 + r)), lambda t: -np.log(2.0 - np.exp(t))),
+}
+
+
+def _one_point_loss(kind, theta, x1, x0):
+    """Objective on one-point samples: f*(f'(r(x0))) - f'(r(x1))."""
+    return fdiv_objective(
+        np.array([theta]),
+        Dataset(np.array([[x1]]), 1),
+        Dataset(np.array([[x0]]), 0),
+        FeatureMap.identity(1),
+        kind,
+    ).loss
+
+
 class TestDivergenceSpecs:
     def test_kl_textbook_maps(self):
-        spec = kl_divergence_spec()
+        fprime, fstar = TEXTBOOK["kl"]
         t = np.array([0.5, 1.0, 3.0])
-        assert spec.fprime(t) == pytest.approx(1.0 + np.log(t))
-        assert spec.fstar(spec.fprime(t)) == pytest.approx(t)  # f*(f'(r)) = r
+        assert fstar(fprime(t)) == pytest.approx(t)  # f*(f'(r)) = r
+        x1, x0 = 0.7, -0.2
+        for theta in (-1.3, 0.0, 0.4, 2.0):
+            r1, r0 = np.exp(theta * x1), np.exp(theta * x0)
+            expected = fstar(fprime(r0)) - fprime(r1)
+            assert _one_point_loss("kl", theta, x1, x0) == pytest.approx(expected, rel=1e-12)
 
     def test_js_textbook_maps(self):
-        spec = js_divergence_spec()
+        fprime, fstar = TEXTBOOK["js"]
         r = np.array([0.25, 1.0, 4.0])
-        fp = spec.fprime(r)
-        assert np.all(fp < np.log(2.0))
+        assert np.all(fprime(r) < np.log(2.0))  # f*'s domain
         # composed form used by the estimator: f*(f'(r)) = log((1+r)/2)
-        assert spec.fstar(fp) == pytest.approx(np.log((1.0 + r) / 2.0))
+        assert fstar(fprime(r)) == pytest.approx(np.log((1.0 + r) / 2.0))
+        x1, x0 = 0.7, -0.2
+        for theta in (-1.3, 0.0, 0.4, 2.0):
+            r1, r0 = np.exp(theta * x1), np.exp(theta * x0)
+            expected = fstar(fprime(r0)) - fprime(r1)
+            assert _one_point_loss("js", theta, x1, x0) == pytest.approx(
+                expected, rel=1e-12, abs=1e-15
+            )
 
     def test_lookup(self):
-        assert divergence_spec("kl").kind == "kl"
-        assert divergence_spec("js").kind == "js"
-        with pytest.raises(ValueError):
-            divergence_spec("chi2")
+        for kind in ("kl", "js"):
+            assert np.isfinite(_one_point_loss(kind, 0.3, 1.0, 0.0))
+        with pytest.raises(ValueError, match="unknown divergence"):
+            _one_point_loss("chi2", 0.3, 1.0, 0.0)
+        rng = np.random.default_rng(1)
+        d1, d0 = _pair(rng, 20)
+        with pytest.raises(ValueError, match="unknown divergence"):
+            fdiv_fit(d1, d0, FeatureMap.identity(1), "chi2")
 
 
 class TestObjective:
@@ -62,7 +90,7 @@ class TestObjective:
         rng = np.random.default_rng(0)
         d1, d0 = _pair(rng, 50, d=2)
         val = fdiv_objective(
-            np.zeros(2), d1, d0, FeatureMap.identity(2), divergence_spec(kind)
+            np.zeros(2), d1, d0, FeatureMap.identity(2), kind
         )
         assert val.loss == pytest.approx(0.0, abs=1e-15)
 
@@ -72,15 +100,14 @@ class TestObjective:
         rng = np.random.default_rng(seed)
         d1, d0, mode = _corrupted_pair(rng)
         fmap = FeatureMap.identity(2)
-        spec = divergence_spec(kind)
         theta = rng.normal(scale=0.4, size=2)
-        val = fdiv_objective(theta, d1, d0, fmap, spec, mode)
+        val = fdiv_objective(theta, d1, d0, fmap, kind, mode)
         h = 1e-6
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            up = fdiv_objective(theta + e, d1, d0, fmap, spec, mode).loss
-            dn = fdiv_objective(theta - e, d1, d0, fmap, spec, mode).loss
+            up = fdiv_objective(theta + e, d1, d0, fmap, kind, mode).loss
+            dn = fdiv_objective(theta - e, d1, d0, fmap, kind, mode).loss
             fd = (up - dn) / (2 * h)
             rel = abs(fd - val.gradient[i]) / max(abs(val.gradient[i]), 1e-8)
             assert rel < 1e-5
@@ -90,11 +117,10 @@ class TestObjective:
         rng = np.random.default_rng(7)
         d1, d0 = _pair(rng, 80, d=2)
         fmap = FeatureMap.identity(2)
-        spec = divergence_spec(kind)
         theta = np.array([0.2, -0.4])
         mode = Mnar(MissingnessFunction.none(2), MissingnessFunction.none(2))
-        a = fdiv_objective(theta, d1, d0, fmap, spec, FULLY_OBSERVED)
-        b = fdiv_objective(theta, d1, d0, fmap, spec, mode)
+        a = fdiv_objective(theta, d1, d0, fmap, kind, FULLY_OBSERVED)
+        b = fdiv_objective(theta, d1, d0, fmap, kind, mode)
         assert a.loss == b.loss
         assert np.array_equal(a.gradient, b.gradient)
 
@@ -112,7 +138,7 @@ class TestObjective:
         s = d0.values[:, 0] * theta[0]
         theta[1] = -np.log(np.mean(np.exp(s)))
         kl_grad = fdiv_objective(
-            theta, d1, d0, fmap, kl_divergence_spec(), FULLY_OBSERVED
+            theta, d1, d0, fmap, "kl", FULLY_OBSERVED
         ).gradient
         kliep_grad = sample_objective(theta, d1, d0, fmap, FULLY_OBSERVED).gradient
         assert kl_grad == pytest.approx(kliep_grad, abs=1e-8)
@@ -124,9 +150,7 @@ class TestFit:
         # features the population argmax sits within 0.04 of (0.5, 0).
         rng = np.random.default_rng(41)
         d1, d0 = _pair(rng, 100_000)
-        model = fdiv_fit(
-            d1, d0, FeatureMap.identity_plus_squares(1), kl_divergence_spec()
-        )
+        model = fdiv_fit(d1, d0, FeatureMap.identity_plus_squares(1), "kl")
         assert abs(model.theta[0] - 0.5) < 0.05
         assert abs(model.theta[1] - 0.0) < 0.05
 
@@ -134,7 +158,7 @@ class TestFit:
     def test_identical_classes(self, kind):
         rng = np.random.default_rng(42)
         d1, d0 = _pair(rng, 100_000, mu1=0.0, d=2)
-        model = fdiv_fit(d1, d0, FeatureMap.identity(2), divergence_spec(kind))
+        model = fdiv_fit(d1, d0, FeatureMap.identity(2), kind)
         assert np.linalg.norm(model.theta) <= 0.05
 
     @pytest.mark.parametrize("kind", ["kl", "js"])
@@ -142,10 +166,9 @@ class TestFit:
         rng = np.random.default_rng(43)
         d1, d0 = _pair(rng, 400, d=2)
         fmap = FeatureMap.identity(2)
-        spec = divergence_spec(kind)
         mode = Mnar(MissingnessFunction.none(2), MissingnessFunction.none(2))
-        a = fdiv_fit(d1, d0, fmap, spec, KliepFitConfig(weighting_mode=FULLY_OBSERVED))
-        b = fdiv_fit(d1, d0, fmap, spec, KliepFitConfig(weighting_mode=mode))
+        a = fdiv_fit(d1, d0, fmap, kind, KliepFitConfig(weighting_mode=FULLY_OBSERVED))
+        b = fdiv_fit(d1, d0, fmap, kind, KliepFitConfig(weighting_mode=mode))
         assert np.array_equal(a.theta, b.theta)
 
     @pytest.mark.parametrize("kind", ["kl", "js"])
@@ -164,12 +187,11 @@ class TestFit:
         x1 = Dataset(phi1.corrupt(z1, rng), 1)
         latent1, latent0 = Dataset(z1, 1), Dataset(z0, 0)
         fmap = FeatureMap.identity(2)
-        spec = divergence_spec(kind)
         weighted = fdiv_fit(
-            x1, latent0, fmap, spec,
+            x1, latent0, fmap, kind,
             KliepFitConfig(weighting_mode=Mnar(phi1, phi0)),
         )
-        full = fdiv_fit(latent1, latent0, fmap, spec)
+        full = fdiv_fit(latent1, latent0, fmap, kind)
         assert weighted.theta == pytest.approx(full.theta, abs=0.06)
         # exact population argmax for the KL case: t e^{||t||^2/2} = ||mu||
         if kind == "kl":

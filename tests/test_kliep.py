@@ -277,6 +277,4 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             KliepFitConfig(grad_tol=0.0)
         with pytest.raises(ValueError):
-            KliepFitConfig(backtrack=1.0)
-        with pytest.raises(ValueError):
             KliepFitConfig(weighting_mode="bogus")

@@ -3,7 +3,6 @@ import pytest
 from scipy.special import expit
 
 from mnar_dre.missingness import (
-    QueryBudgetPlan,
     _newton_logistic,
     fit_adjusted_logistic,
     learn_missingness,
@@ -51,10 +50,11 @@ class TestSimulateQuery:
             simulate_query(x, x, 2, 0)
 
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            QueryBudgetPlan(m_q=-1)
-        with pytest.raises(ValueError):
-            QueryBudgetPlan(m_q=1, selection_rule="importance")
+        x = np.array([1.0, np.nan])
+        with pytest.raises(DataError, match="non-negative"):
+            simulate_query(x, x, -1, 0)
+        with pytest.raises(DataError, match="non-negative"):
+            learn_missingness(Dataset(x, 1), Dataset(np.ones(2), 1), -1, 0)
 
 
 class TestAdjustedLogistic:

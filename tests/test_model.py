@@ -15,34 +15,51 @@ from mnar_dre.model import (
     MissingnessFunction,
     Tabulated,
     Zero,
-    effective_sample_size,
-    two_class_effective_sample_size,
 )
+from mnar_dre.np_classify import build_np_classifier, delta_margin
+
+
+def _weighted_rule_margin(n, phi0=None, delta=0.2):
+    calib = Dataset(np.random.default_rng(n).normal(size=(n, 1)), 0)
+    clf = build_np_classifier(
+        lambda z: z[:, 0], calib, 0.3, delta, phi0=phi0, rule="missing"
+    )
+    return clf.provenance.margin
+
+
+def _constant(p):
+    return MissingnessFunction.per_coordinate([ConstantProb(p)])
 
 
 class TestEffectiveSampleSize:
+    """m_eff0 = n0 (1 - sup phi0) enters the weighted threshold rule's margin."""
+
     def test_no_missingness(self):
-        assert effective_sample_size(100, 0.0) == 100
+        assert _weighted_rule_margin(100) == delta_margin(100.0, 0.2)
 
     def test_half_missing(self):
-        assert effective_sample_size(200, 0.5) == 100
+        assert _weighted_rule_margin(200, _constant(0.5)) == delta_margin(100.0, 0.2)
 
     def test_high_missingness(self):
         # 1500 * 0.1
-        assert effective_sample_size(1500, 0.9) == pytest.approx(150)
+        assert _weighted_rule_margin(1500, _constant(0.9)) == pytest.approx(
+            delta_margin(150.0, 0.2)
+        )
 
     def test_rejects_certain_missingness(self):
-        with pytest.raises(ValueError, match="bounded away from 1"):
-            effective_sample_size(100, 1.0)
-        with pytest.raises(ValueError):
-            effective_sample_size(100, 1.5)
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            ConstantProb(1.0)
+        # unbounded logistic tails are clamped: m_eff0 = n0 * EPS_PHI, not 0
+        logistic = MissingnessFunction.per_coordinate([LogisticScalar(0.0, 1.0)])
+        assert _weighted_rule_margin(500, logistic) == pytest.approx(
+            delta_margin(500 * EPS_PHI, 0.2)
+        )
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            effective_sample_size(0, 0.1)
-
-    def test_two_class_min(self):
-        assert two_class_effective_sample_size(100, 0.5, 400, 0.9) == pytest.approx(40.0)
+            delta_margin(0.0, 0.1)
+        with pytest.raises(DataError):
+            Dataset(np.empty((0, 1)), 0)
 
 
 def _entry_inputs(rng, entry, n=10_000):

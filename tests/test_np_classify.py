@@ -12,7 +12,6 @@ from mnar_dre.np_classify import (
     calibration_scores,
     classify,
     delta_margin,
-    estimate_errors,
     threshold_binomial,
     threshold_missing,
 )
@@ -223,22 +222,6 @@ class TestClassify:
             lambda z: 2.0 * z[:, 0] + 7.0, calib, alpha, delta, rule=rule
         )
         assert np.array_equal(classify(base, test), classify(transformed, test))
-
-    def test_estimate_errors_trivial(self):
-        rng = np.random.default_rng(5)
-        t0 = Dataset(rng.normal(size=(50, 1)), 0)
-        t1 = Dataset(rng.normal(size=(50, 1)), 1)
-        always0 = _make_clf(lambda v: v[:, 0], math.inf)
-        always1 = _make_clf(lambda v: v[:, 0], -math.inf)
-        assert estimate_errors(always0, t0, t1) == {"type1": 0.0, "power": 0.0}
-        assert estimate_errors(always1, t0, t1) == {"type1": 1.0, "power": 1.0}
-
-    def test_estimate_errors_requires_fully_observed(self):
-        clf = _make_clf(lambda v: v[:, 0], 0.0)
-        good = Dataset(np.ones((3, 1)), 1)
-        bad = Dataset(np.array([[1.0], [np.nan]]), 0)
-        with pytest.raises(DataError):
-            estimate_errors(clf, bad, good)
 
 
 class TestCalibrationScores:

@@ -3,81 +3,100 @@ import itertools
 import numpy as np
 import pytest
 
-from mnar_dre.model import ConstantProb, Tabulated, Zero
-from mnar_dre.weighting import (
-    WeightedSample,
-    from_column,
-    importance_weight,
-    importance_weights,
-    naive_sum,
-    weighted_mean,
+from mnar_dre.kliep import FULLY_OBSERVED, Mnar, class_terms
+from mnar_dre.model import (
+    ConstantProb,
+    Dataset,
+    FeatureMap,
+    MAX_WEIGHT,
+    MissingnessFunction,
+    Tabulated,
+    Zero,
 )
+from mnar_dre.weighting import point_importance_weights
+
+
+def _coords(*entries):
+    return MissingnessFunction.per_coordinate(list(entries))
+
+
+def _terms(values, phi):
+    """The weighted class term the estimators build under MNAR weighting."""
+    data = Dataset(np.asarray(values, dtype=float), 1)
+    return class_terms(data, FeatureMap.identity(data.dim), Mnar(phi, phi), 1)
+
+
+def _weighted_mean(values, phi):
+    """The estimators' (1/n) sum_i w_i x_i, with n counting missing rows."""
+    t = _terms(values, phi)
+    out = (t.weights @ t.features) / t.divisor
+    return float(out[0]) if out.shape == (1,) else out
 
 
 class TestImportanceWeight:
     def test_missing_is_zero(self):
-        assert importance_weight(np.nan, ConstantProb(0.7)) == 0.0
+        # any missing coordinate drops the whole row
+        values = np.array([[np.nan, 1.0], [2.0, np.nan], [1.0, 1.0]])
+        w = point_importance_weights(values, _coords(ConstantProb(0.5), Zero()))
+        assert w.tolist() == [0.0, 0.0, 2.0]
 
     def test_no_missingness_is_one(self):
-        assert importance_weight(3.0, Zero()) == 1.0
+        w = point_importance_weights(np.array([[3.0]]), _coords(Zero()))
+        assert w.tolist() == [1.0]
 
     def test_half_missingness_is_two(self):
-        assert importance_weight(3.0, ConstantProb(0.5)) == 2.0
+        w = point_importance_weights(np.array([[3.0]]), _coords(ConstantProb(0.5)))
+        assert w.tolist() == [2.0]
+        joint = MissingnessFunction.whole_point(ConstantProb(0.5))
+        assert point_importance_weights(np.array([[3.0, -1.0]]), joint).tolist() == [2.0]
 
     def test_vectorized_matches_scalar(self):
-        col = np.array([1.0, np.nan, -2.0])
         entry = Tabulated(fn=lambda x: np.clip(np.abs(x) / 4.0, 0, 0.9))
-        w = importance_weights(col, entry)
+        col = np.array([[1.0], [np.nan], [-2.0]])
+        w = point_importance_weights(col, _coords(entry))
         assert w[1] == 0.0
-        assert w[0] == pytest.approx(importance_weight(1.0, entry))
-        assert w[2] == pytest.approx(importance_weight(-2.0, entry))
+        assert w[0] == pytest.approx(1.0 / (1.0 - 0.25))
+        assert w[2] == pytest.approx(1.0 / (1.0 - 0.5))
+        # per-coordinate missingness: a row's weight is the product of its
+        # coordinate weights
+        pair = point_importance_weights(
+            np.array([[1.0, -2.0]]), _coords(entry, ConstantProb(0.2))
+        )
+        assert pair[0] == pytest.approx((1.0 / 0.75) * (1.0 / 0.8))
 
     def test_weight_cap(self):
         # phi clamped at 1 - 1e-3, so weights cannot exceed 1000
-        entry = Tabulated(fn=lambda x: np.ones(x.shape[0]))
-        with pytest.warns(RuntimeWarning):
-            w = importance_weights(np.array([1.0]), entry)
-        assert w[0] == pytest.approx(1000.0)
-
-
-class TestWeightedSample:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WeightedSample(np.array([1.0]), np.array([-0.1]))
-        with pytest.raises(ValueError):
-            WeightedSample(np.array([1.0]), np.array([1001.0]))
-        with pytest.raises(ValueError):
-            WeightedSample(np.array([np.nan]), np.array([0.0]))
-
-    def test_from_column_zero_fills_missing(self):
-        s = from_column(np.array([2.0, np.nan]), ConstantProb(0.5))
-        assert list(s.weights) == [2.0, 0.0]
-        assert list(s.values) == [2.0, 0.0]
+        certain = Tabulated(fn=lambda x: np.ones(x.shape[0]))
+        joint = MissingnessFunction.whole_point(certain)
+        assert point_importance_weights(np.array([[1.0, 2.0]]), joint)[0] == (
+            pytest.approx(MAX_WEIGHT)
+        )
+        # a product of per-coordinate weights is capped as well
+        w = point_importance_weights(
+            np.array([[1.0, 2.0]]), _coords(ConstantProb(0.99), ConstantProb(0.99))
+        )
+        assert w[0] == MAX_WEIGHT
 
 
 class TestWeightedMean:
     def test_plain_mean(self):
-        s = WeightedSample(np.array([1.0, 2.0, 3.0]), np.ones(3))
-        assert weighted_mean(s) == pytest.approx(2.0)
+        assert _weighted_mean([[1.0], [2.0], [3.0]], _coords(Zero())) == pytest.approx(2.0)
 
     def test_divisor_is_total_count(self):
         # one observed point with weight 2 out of n=2: (1/2) * 2 * 5 = 5
-        s = WeightedSample(np.array([5.0, 0.0]), np.array([2.0, 0.0]))
-        assert weighted_mean(s) == 5.0
+        t = _terms([[5.0], [np.nan]], _coords(ConstantProb(0.5)))
+        assert t.divisor == 2 and t.weights.tolist() == [2.0]
+        assert _weighted_mean([[5.0], [np.nan]], _coords(ConstantProb(0.5))) == 5.0
 
     def test_exact_three_outcome_enumeration(self):
         # Z uniform on {0, 1}, phi(0)=0, phi(1)=0.5.  Single-draw outcomes:
         #   observe 0   w.p. 1/2, contribution 1 * 0 = 0
         #   observe 1   w.p. 1/4, contribution 2 * 1 = 2
-        #   missing     w.p. 1/4, contribution 0
+        #   missing     w.p. 1/4, contribution 0 (no observed row to weight)
         # so E[weighted mean] = 1/4 * 2 = 0.5 = E[Z].
-        phi = Tabulated(fn=lambda x: np.where(x > 0.5, 0.5, 0.0))
-        outcomes = [
-            (0.5, from_column(np.array([0.0]), phi)),
-            (0.25, from_column(np.array([1.0]), phi)),
-            (0.25, from_column(np.array([np.nan]), phi)),
-        ]
-        expectation = sum(p * weighted_mean(s) for p, s in outcomes)
+        phi = _coords(Tabulated(fn=lambda x: np.where(x > 0.5, 0.5, 0.0)))
+        outcomes = [(0.5, [[0.0]]), (0.25, [[1.0]])]
+        expectation = sum(p * _weighted_mean(v, phi) for p, v in outcomes)
         assert expectation == pytest.approx(0.5, abs=1e-15)
 
     def test_monte_carlo_matches_target(self):
@@ -85,10 +104,9 @@ class TestWeightedMean:
         n = 100_000
         z = rng.integers(0, 2, size=n).astype(float)
         missing = (z == 1.0) & (rng.random(n) < 0.5)
-        x = np.where(missing, np.nan, z)
-        phi = Tabulated(fn=lambda v: np.where(v > 0.5, 0.5, 0.0))
-        s = from_column(x, phi)
-        est = weighted_mean(s)
+        x = np.where(missing, np.nan, z)[:, None]
+        phi = _coords(Tabulated(fn=lambda v: np.where(v > 0.5, 0.5, 0.0)))
+        est = _weighted_mean(x, phi)
         # exact MC standard error of the weighted estimator:
         # E[(w g)^2] = sum_z p(z) g(z)^2 / (1 - phi(z)) = 0.5 * 1 / 0.5 = 1
         se = np.sqrt((1.0 - 0.25) / n)
@@ -96,22 +114,16 @@ class TestWeightedMean:
 
     def test_plain_mean_bit_for_bit_when_phi_zero(self):
         rng = np.random.default_rng(7)
-        col = rng.normal(size=1001)
-        s = from_column(col, Zero())
-        # identical index-order summation on both sides
-        assert weighted_mean(s, method="naive") == naive_sum(col) / col.size
-
-    def test_pairwise_method(self):
-        rng = np.random.default_rng(8)
-        col = rng.normal(size=100)
-        s = from_column(col, Zero())
-        assert weighted_mean(s, method="pairwise") == pytest.approx(col.mean())
-        with pytest.raises(ValueError):
-            weighted_mean(s, method="kahan")
+        col = rng.normal(size=(1001, 1))
+        weighted = _terms(col, _coords(Zero()))
+        plain = class_terms(Dataset(col, 1), FeatureMap.identity(1), FULLY_OBSERVED, 1)
+        assert np.array_equal(weighted.weights, plain.weights)
+        assert np.array_equal(weighted.features, plain.features)
+        assert weighted.divisor == plain.divisor == col.shape[0]
 
     def test_vector_values(self):
-        s = WeightedSample(np.array([[1.0, 10.0], [3.0, 30.0]]), np.array([1.0, 1.0]))
-        assert weighted_mean(s) == pytest.approx([2.0, 20.0])
+        mean = _weighted_mean([[1.0, 10.0], [3.0, 30.0]], _coords(Zero(), Zero()))
+        assert mean == pytest.approx([2.0, 20.0])
 
 
 def _enumerate_single_draw(atoms, probs, phis, g):
@@ -140,43 +152,36 @@ class TestUnbiasednessOracle:
         phis = rng.uniform(0.0, 0.85, size=k)
         g = lambda z: z**2 - 1.5 * z
 
-        lookup = dict(zip(atoms.tolist(), phis.tolist()))
-        entry = Tabulated(fn=lambda x: np.array([lookup[v] for v in np.atleast_1d(x)]))
-
         target = float(np.sum(probs * g(atoms)))
-        # enumerate outcomes of one draw through the real estimator code
+        # enumerate outcomes of one draw through the real weight code
         total = 0.0
         for z, p, phi in zip(atoms, probs, phis):
-            observed = from_column(np.array([g(z)]), ConstantProb(phi))
-            total += p * (1.0 - phi) * weighted_mean(observed)
+            observed = _weighted_mean([[g(z)]], _coords(ConstantProb(phi)))
+            total += p * (1.0 - phi) * observed
             # the missing outcome contributes 0 exactly
         assert total == pytest.approx(target, abs=1e-12)
 
     def test_two_draw_product_enumeration(self):
         # n = 2 iid draws; enumerate the full product distribution through
-        # weighted_mean to exercise the (1/n) sum path.
+        # the weighted class term to exercise the (1/n) sum path.
         atoms = np.array([-1.0, 2.0])
         probs = np.array([0.4, 0.6])
         phis = np.array([0.25, 0.5])
         g = lambda z: 3.0 * z + 1.0
         target = float(np.sum(probs * g(atoms)))
+        lookup = dict(zip(g(atoms).tolist(), phis.tolist()))
+        phi = _coords(Tabulated(fn=lambda x: np.array([lookup[v] for v in x])))
 
-        outcomes = []  # (probability, value-or-nan, phi of source atom)
-        for z, p, phi in zip(atoms, probs, phis):
-            outcomes.append((p * (1.0 - phi), g(z), phi))
-            outcomes.append((p * phi, np.nan, phi))
+        outcomes = []  # (probability, value-or-nan)
+        for z, p, f in zip(atoms, probs, phis):
+            outcomes.append((p * (1.0 - f), g(z)))
+            outcomes.append((p * f, np.nan))
 
         total = 0.0
-        for (p1, v1, f1), (p2, v2, f2) in itertools.product(outcomes, outcomes):
-            values = np.array([v1, v2])
-            weights = np.array(
-                [
-                    0.0 if np.isnan(v1) else 1.0 / (1.0 - f1),
-                    0.0 if np.isnan(v2) else 1.0 / (1.0 - f2),
-                ]
-            )
-            s = WeightedSample(np.where(np.isnan(values), 0.0, values), weights)
-            total += p1 * p2 * weighted_mean(s)
+        for (p1, v1), (p2, v2) in itertools.product(outcomes, outcomes):
+            if np.isnan(v1) and np.isnan(v2):
+                continue  # nothing observed: the estimate is 0
+            total += p1 * p2 * _weighted_mean([[v1], [v2]], phi)
         assert total == pytest.approx(target, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
