@@ -175,9 +175,11 @@ def _cmd_np_calibrate(args) -> int:
     )
     with open(args.out, "w") as fh:
         fh.write(dataio.classifier_to_text(clf))
+    reason = clf.degenerate_reason()
     print(
         f"threshold {clf.threshold!r} (method {clf.method}, "
-        f"degenerate {clf.provenance.degenerate})"
+        f"degenerate {clf.provenance.degenerate}"
+        + (f": {reason})" if reason else ")")
     )
     return 0
 
@@ -342,7 +344,7 @@ def _cmd_experiment(args) -> int:
             corrupt_class=1 if args.corrupt_class is None else args.corrupt_class,
             workers=workers,
         )
-        rows = experiments.run_msd_experiment(cfg)
+        run = experiments.run_msd_experiment
     elif args.kind in ("power", "rho-sweep"):
         estimators = tuple(
             (args.estimators or "true-ratio,mkliep,cckliep").split(",")
@@ -368,9 +370,13 @@ def _cmd_experiment(args) -> int:
             queries=args.queries or 10,
             workers=workers,
         )
-        rows = experiments.run_power_experiment(cfg)
+        run = experiments.run_power_experiment
     else:
         raise _UsageError(f"unknown experiment kind {args.kind!r}")
+    try:
+        rows = run(cfg)
+    except experiments.ConfigError as exc:
+        raise _UsageError(str(exc)) from None
     # The worker count does not change results, so it stays out of the hash.
     settings = dataclasses.asdict(cfg)
     del settings["workers"]

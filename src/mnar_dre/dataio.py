@@ -32,7 +32,7 @@ from .model import (
     Zero,
 )
 from .naive_bayes import NaiveBayesRatioModel
-from .np_classify import NpClassifier, ThresholdResult
+from .np_classify import PAPER_MARGIN_CONSTANT, NpClassifier, ThresholdResult
 
 # ---------------------------------------------------------------------------
 # CSV ingestion / emission
@@ -520,36 +520,63 @@ def _kv_from_text(text: str) -> dict[str, str]:
     return out
 
 
-def model_from_text(text: str):
-    kv = _kv_from_text(text)
-    kind = kv.get("kind")
-    if kind == "log-linear":
-        fmap = _feature_map_from(kv["feature_map"], int(kv["input_dim"]))
+_REQUIRED = object()
+
+
+def _field(kv: dict[str, str], key: str, parse=str, default=_REQUIRED):
+    """``kv[key]`` read by ``parse``; a missing required key or an unreadable
+    value raises ``DataError`` naming the key."""
+    if key not in kv:
+        if default is _REQUIRED:
+            raise DataError(f"missing key {key!r}")
+        return default
+    try:
+        return parse(kv[key])
+    except ValueError as exc:
+        raise DataError(f"key {key!r}: cannot parse {kv[key]!r} ({exc})") from None
+
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text == "true"
+
+
+def _none_or(parse):
+    return lambda text: None if text == "none" else parse(text)
+
+
+def _log_linear_from_kv(kv: dict[str, str], prefix: str) -> LogLinearRatioModel:
+    fmap = _feature_map_from(
+        _field(kv, f"{prefix}feature_map"), _field(kv, f"{prefix}input_dim", int)
+    )
+    theta = _field(kv, f"{prefix}theta", _parse_floats)
+    normalizer = _field(kv, f"{prefix}normalizer", float, None)
+    converged = _field(kv, f"{prefix}converged", _parse_bool, True)
+    try:
         return LogLinearRatioModel(
-            theta=_parse_floats(kv["theta"]),
-            feature_map=fmap,
-            normalizer=float(kv["normalizer"]) if "normalizer" in kv else None,
-            converged=kv.get("converged", "true") == "true",
+            theta=theta, feature_map=fmap, normalizer=normalizer, converged=converged
         )
+    except ValueError as exc:
+        raise DataError(f"{prefix}theta or {prefix}normalizer: {exc}") from None
+
+
+def _model_from_kv(kv: dict[str, str], prefix: str = ""):
+    kind = kv.get(f"{prefix}kind")
+    if kind == "log-linear":
+        return _log_linear_from_kv(kv, prefix)
     if kind == "naive-bayes":
-        dims = int(kv["dims"])
-        subs = []
-        for j in range(dims):
-            fmap = _feature_map_from(
-                kv[f"dim{j}.feature_map"], int(kv[f"dim{j}.input_dim"])
-            )
-            subs.append(
-                LogLinearRatioModel(
-                    theta=_parse_floats(kv[f"dim{j}.theta"]),
-                    feature_map=fmap,
-                    normalizer=float(kv[f"dim{j}.normalizer"])
-                    if f"dim{j}.normalizer" in kv
-                    else None,
-                    converged=kv.get(f"dim{j}.converged", "true") == "true",
-                )
-            )
-        return NaiveBayesRatioModel(per_dim=tuple(subs))
+        dims = _field(kv, f"{prefix}dims", int)
+        per_dim = [_log_linear_from_kv(kv, f"{prefix}dim{j}.") for j in range(dims)]
+        try:
+            return NaiveBayesRatioModel(per_dim=tuple(per_dim))
+        except ValueError as exc:
+            raise DataError(f"{prefix}dims or {prefix}dim*.input_dim: {exc}") from None
     raise DataError(f"unknown model kind {kind!r}")
+
+
+def model_from_text(text: str):
+    return _model_from_kv(_kv_from_text(text))
 
 
 def classifier_to_text(clf: NpClassifier) -> str:
@@ -587,26 +614,25 @@ def classifier_from_text(text: str) -> NpClassifier:
         raise DataError("not a classifier file")
     if kv.get("transform", "log") != "log":
         raise DataError(f"unsupported score transform {kv['transform']!r}")
-    model_text = "\n".join(
-        f"{k[len('model.'):]} = {v}" for k, v in kv.items() if k.startswith("model.")
-    )
-    model = model_from_text(model_text)
+    model = _model_from_kv(kv, "model.")
+    threshold = _field(kv, "threshold", float)
+    method = _field(kv, "method")
     provenance = ThresholdResult(
-        value=float(kv["threshold"]),
-        order_index=None if kv["i_star"] == "none" else int(kv["i_star"]),
-        degenerate=kv["degenerate"] == "true",
-        all_missing=kv["all_missing"] == "true",
-        margin=None if kv["margin"] == "none" else float(kv["margin"]),
-        calibration_size=int(kv["calibration_size"]),
-        method=kv["method"],
+        value=threshold,
+        order_index=_field(kv, "i_star", _none_or(int)),
+        degenerate=_field(kv, "degenerate", _parse_bool),
+        all_missing=_field(kv, "all_missing", _parse_bool),
+        margin=_field(kv, "margin", _none_or(float)),
+        calibration_size=_field(kv, "calibration_size", int),
+        method=method,
     )
     return NpClassifier(
         score_fn=model.log_ratio,
-        threshold=float(kv["threshold"]),
-        alpha=float(kv["alpha"]),
-        delta=float(kv["delta"]),
-        method=kv["method"],
+        threshold=threshold,
+        alpha=_field(kv, "alpha", float),
+        delta=_field(kv, "delta", float),
+        method=method,
         provenance=provenance,
-        margin_constant=float(kv.get("margin_constant", "16.0")),
+        margin_constant=_field(kv, "margin_constant", float, PAPER_MARGIN_CONSTANT),
         model=model,
     )

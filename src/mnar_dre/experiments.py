@@ -72,6 +72,31 @@ class PowerConfig:
     workers: int = 1
 
 
+class ConfigError(ValueError):
+    """An experiment configuration that no replication can run."""
+
+
+def _make_scenario(name: str, rho: float) -> Scenario:
+    try:
+        return make_scenario(name, rho)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _check_estimators(scenario: Scenario, estimators, known: tuple[str, ...]) -> None:
+    """Refuse, before any replication runs, an estimator the scenario cannot feed."""
+    for name in estimators:
+        if name not in known:
+            raise ConfigError(f"unknown estimator {name!r}; choose from {known}")
+        # nb-mkliep slices the true missingness per coordinate; whole-point
+        # missingness has no per-coordinate form.
+        if name == "nb-mkliep" and scenario.induced_phi.joint:
+            raise ConfigError(
+                f"estimator {name!r} needs per-coordinate missingness, but "
+                f"scenario {scenario.name!r} loses whole points"
+            )
+
+
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
@@ -183,7 +208,8 @@ def _mean_ci_half(values: np.ndarray, level: float) -> tuple[float, float]:
 
 def run_msd_replications(cfg: MsdConfig) -> dict[int, dict[str, np.ndarray]]:
     """Squared distances to the population parameter, per n and estimator."""
-    scenario = make_scenario(cfg.scenario, cfg.rho)
+    scenario = _make_scenario(cfg.scenario, cfg.rho)
+    _check_estimators(scenario, cfg.estimators, THETA_ESTIMATORS)
     theta_tilde = population_theta(scenario)
     results: dict[int, dict[str, np.ndarray]] = {}
     for n in cfg.ns:
@@ -221,18 +247,15 @@ def run_power_replications(
     cfg: PowerConfig,
 ) -> dict[float, dict[str, dict[str, np.ndarray]]]:
     """Per-replication powers and Type I errors, keyed by n (or rho)."""
-    results: dict[float, dict[str, dict[str, np.ndarray]]] = {}
     if cfg.rhos is not None:
-        keys = [("rho", r) for r in cfg.rhos]
+        runs = [(rho, _make_scenario(cfg.scenario, rho), cfg.ns[0]) for rho in cfg.rhos]
     else:
-        keys = [("n", n) for n in cfg.ns]
-    for kind, key in keys:
-        if kind == "rho":
-            scenario = make_scenario(cfg.scenario, key)
-            n = cfg.ns[0]
-        else:
-            scenario = make_scenario(cfg.scenario, cfg.rho)
-            n = key
+        scenario = _make_scenario(cfg.scenario, cfg.rho)
+        runs = [(n, scenario, n) for n in cfg.ns]
+    for _, scenario, _ in runs:
+        _check_estimators(scenario, cfg.estimators, SCORE_ESTIMATORS)
+    results: dict[float, dict[str, dict[str, np.ndarray]]] = {}
+    for key, scenario, n in runs:
         payloads = [(cfg, scenario, n, rep) for rep in range(cfg.reps)]
         reps = _map_reps(_power_rep, payloads, cfg.workers)
         results[key] = {

@@ -246,9 +246,16 @@ class MissingnessFunction:
 
     def coordinate_entry(self, j: int):
         if self.joint:
-            if self.dim == 1 and j == 0:
-                return self.entries[0]
-            raise ValueError("joint missingness has no per-coordinate entries")
+            # A whole-point entry doubles as coordinate 0's entry only when it
+            # reads one coordinate; a longer direction needs the whole point.
+            entry = self.entries[0]
+            direction = getattr(entry, "direction", None)
+            if j == 0 and (direction is None or direction.shape == (1,)):
+                return entry
+            raise ValueError(
+                "joint missingness acts on whole points and has no "
+                f"per-coordinate entry {j}"
+            )
         return self.entries[j]
 
     def sup_prob(self) -> float:

@@ -46,6 +46,7 @@ class ThresholdResult:
     margin: float | None  # Delta for the weighted rule, None for binomial
     calibration_size: int
     method: str
+    m_eff0: float | None = None  # n0 (1 - sup phi0) for the weighted rule
 
 
 def delta_margin(
@@ -124,6 +125,7 @@ def threshold_missing(
             margin=margin,
             calibration_size=n0,
             method="missing-weighted",
+            m_eff0=m_eff0,
         )
     return ThresholdResult(
         value=float(s_sorted[idx]),
@@ -133,6 +135,7 @@ def threshold_missing(
         margin=margin,
         calibration_size=n0,
         method="missing-weighted",
+        m_eff0=m_eff0,
     )
 
 
@@ -226,6 +229,34 @@ class NpClassifier:
             self.method == "missing-weighted"
             and self.margin_constant != PAPER_MARGIN_CONSTANT
         )
+
+    def degenerate_reason(self) -> str | None:
+        """Why no calibration score qualified as the threshold, or None."""
+        p = self.provenance
+        if not p.degenerate:
+            return None
+        n0 = p.calibration_size
+        if p.margin is None:
+            # (1 - alpha)^n0 is the smallest binomial tail the rule can reach.
+            need = math.log(self.delta) / math.log1p(-self.alpha)
+            return (
+                f"n0 {n0} is below log(delta)/log(1 - alpha) = {need:.6g}, "
+                "the fewest calibration points the binomial rule needs"
+            )
+        if p.margin >= self.alpha:
+            why = f"margin {p.margin:.6g} >= alpha {self.alpha!r}"
+        else:
+            why = (
+                "no calibration score has weighted tail <= alpha - margin = "
+                f"{self.alpha!r} - {p.margin:.6g}"
+            )
+        if p.m_eff0 is not None:
+            sup_phi0 = 1.0 - p.m_eff0 / n0
+            why += (
+                f", with m_eff0 = n0 * (1 - sup phi0) = {n0} * (1 - {sup_phi0:.6g})"
+                f" = {p.m_eff0:.6g}"
+            )
+        return why
 
 
 def calibration_scores(

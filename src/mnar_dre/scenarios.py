@@ -3,8 +3,12 @@
 Every scenario's class distributions are Gaussian mixtures, which gives three
 exact tools used throughout the experiments:
 
-* sampling (component draw + Cholesky transform),
-* the analytic log density ratio for oracle classifiers,
+* sampling: component labels and standard normals are drawn, then one
+  matmul against every component's stacked Cholesky factor L_k' transforms
+  the normals under all components and each row keeps its own component's,
+* the analytic log density ratio for oracle classifiers: each component's
+  log density is log_norm_k - |(z - mu_k) W_k|^2 / 2 with the whitening
+  factor W_k = inv(L_k)', and the components are combined with logaddexp,
 * the exact population fit objective via the Gaussian MGF
   E[exp(theta'Z)] = sum_k w_k exp(theta'mu_k + theta'Sigma_k theta / 2),
   from which the population-optimal parameter is computed by convex
@@ -18,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .model import (
     Dataset,
@@ -54,40 +57,51 @@ class GaussianMixture:
             c = c[None, :, :]
         if not np.isclose(w.sum(), 1.0):
             raise ValueError("mixture weights must sum to 1")
+        if not np.allclose(c, c.transpose(0, 2, 1)):
+            raise ValueError("covariances must be symmetric")
+        chols = np.linalg.cholesky(c)  # LinAlgError (a ValueError) unless PD
+        d = m.shape[1]
+        log_diag = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "covs", c)
-        object.__setattr__(self, "_chols", np.linalg.cholesky(c))
-        object.__setattr__(self, "_inv_covs", np.linalg.inv(c))
-        sign, logdet = np.linalg.slogdet(c)
-        if np.any(sign <= 0):
-            raise ValueError("covariances must be positive definite")
-        object.__setattr__(self, "_logdets", logdet)
+        # (z - mu_k) @ W_k is standard normal under component k: W_k = inv(L_k)'.
+        object.__setattr__(
+            self, "_whiten", np.linalg.inv(chols).transpose(0, 2, 1)
+        )
+        # log w_k - log sqrt((2 pi)^d det Sigma_k), with log det = 2 sum log diag L_k.
+        object.__setattr__(
+            self,
+            "_log_norm",
+            np.log(w) - 0.5 * (2.0 * log_diag + d * np.log(2.0 * np.pi)),
+        )
+        # Every component's L_k' side by side: one matmul transforms a draw
+        # under all components at once.
+        object.__setattr__(
+            self, "_chols_t_stacked", np.concatenate(chols.transpose(0, 2, 1), axis=1)
+        )
 
     @property
     def dim(self) -> int:
         return self.means.shape[1]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        comp = rng.choice(self.weights.size, size=n, p=self.weights)
-        eps = rng.standard_normal((n, self.dim))
-        out = np.empty((n, self.dim))
-        for k in range(self.weights.size):
-            mask = comp == k
-            out[mask] = self.means[k] + eps[mask] @ self._chols[k].T
-        return out
+        k, d = self.weights.size, self.dim
+        comp = rng.choice(k, size=n, p=self.weights)
+        eps = rng.standard_normal((n, d))
+        if k == 1:
+            return self.means[0] + eps @ self._chols_t_stacked
+        cand = (eps @ self._chols_t_stacked).reshape(n, k, d) + self.means
+        return cand[np.arange(n), comp]
 
     def log_pdf(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        parts = np.empty((z.shape[0], self.weights.size))
+        out = None
         for k in range(self.weights.size):
-            diff = z - self.means[k]
-            quad = np.einsum("ij,jk,ik->i", diff, self._inv_covs[k], diff)
-            parts[:, k] = (
-                np.log(self.weights[k])
-                - 0.5 * (quad + self._logdets[k] + self.dim * np.log(2.0 * np.pi))
-            )
-        return logsumexp(parts, axis=1)
+            u = (z - self.means[k]) @ self._whiten[k]
+            part = self._log_norm[k] - 0.5 * np.einsum("ij,ij->i", u, u)
+            out = part if out is None else np.logaddexp(out, part)
+        return out
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.means

@@ -151,6 +151,111 @@ class TestExitCodes:
         assert rc == 3
 
 
+def _replace_line(text: str, key: str, new_line: str | None) -> str:
+    """Swap (or drop, with None) the ``key = ...`` line of a key-value file."""
+    lines = text.splitlines()
+    hits = [i for i, line in enumerate(lines) if line.split(" = ")[0] == key]
+    assert len(hits) == 1, key
+    lines[hits[0] : hits[0] + 1] = [] if new_line is None else [new_line]
+    return "\n".join(lines) + "\n"
+
+
+class TestMalformedModelFiles:
+    @pytest.mark.parametrize(
+        "key, line",
+        [
+            ("theta", None),
+            ("theta", "theta = 0.1,abc"),
+            ("theta", "theta = 0.1,0.2,0.3"),  # two features
+            ("input_dim", "input_dim = two"),
+        ],
+    )
+    def test_np_calibrate_on_bad_model_exits_3(self, files, key, line, capsys):
+        bad = files["dir"] / "bad-model.txt"
+        bad.write_text(_replace_line(Path(files["model"]).read_text(), key, line))
+        rc = cli.main(["np-calibrate", "--model", str(bad), "--calibration",
+                       files["cal"], "--alpha", "0.2", "--delta", "0.2",
+                       "--out", str(files["dir"] / "unused-clf.txt")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and key in err
+
+    @pytest.mark.parametrize(
+        "key, line",
+        [
+            ("threshold", None),
+            ("threshold", "threshold = high"),
+            ("alpha", "alpha = 0.2x"),
+            ("degenerate", "degenerate = maybe"),
+            ("model.theta", None),
+            ("model.theta", "model.theta = 0.1,abc"),
+        ],
+    )
+    def test_classify_on_bad_classifier_exits_3(self, files, key, line, capsys):
+        bad = files["dir"] / "bad-clf.txt"
+        bad.write_text(_replace_line(Path(files["clf"]).read_text(), key, line))
+        rc = cli.main(["classify", "--classifier", str(bad), "--data", files["test"],
+                       "--out", str(files["dir"] / "unused-labels.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and key in err
+
+
+class TestExperimentConfig:
+    @pytest.mark.parametrize("scenario", ["mixture2d", "gauss5d", "diff-var", "vary-misspec"])
+    def test_nb_mkliep_on_whole_point_scenario_exits_2(self, files, scenario, capsys):
+        out = files["dir"] / "unused-table.csv"
+        rc = cli.main(["experiment", "power", "--scenario", scenario, "--n", "200",
+                       "--reps", "1", "--estimators", "nb-mkliep", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'nb-mkliep'" in err and repr(scenario) in err
+        assert not out.exists()
+
+    def test_nb_mkliep_on_per_coordinate_scenario_runs(self, files):
+        out = files["dir"] / "nb-rho-table.csv"
+        rc = cli.main(["experiment", "power", "--scenario", "nb-rho", "--rho", "0.3",
+                       "--n", "200", "--reps", "1", "--n-test", "1000", "--n-type1",
+                       "1000", "--estimators", "nb-mkliep", "--out", str(out)])
+        assert rc == 0
+        rows, _ = dataio.read_table_csv(out)
+        assert rows[0]["estimator"] == "nb-mkliep" and rows[0]["failed"] == 0
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("msd", "--scenario", "gauss5d", "--estimators", "nb-mkliep"), "'nb-mkliep'"),
+            (("power", "--scenario", "bogus"), "'bogus'"),
+            (("rho-sweep", "--scenario", "nb-rho", "--rho", "0.2,1.5"), "correlation"),
+        ],
+    )
+    def test_other_unrunnable_configs_exit_2(self, files, argv, named, capsys):
+        rc = cli.main(["experiment", *argv, "--n", "50", "--reps", "1",
+                       "--out", str(files["dir"] / "unused-table.csv")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+
+def test_np_calibrate_says_why_the_threshold_is_degenerate(files, capsys):
+    # A logistic class-0 missingness has sup phi0 = 1 - 1e-3, so m_eff0 is
+    # n0 / 1000 and the margin swamps alpha.
+    phi0 = files["dir"] / "logistic-phi0.txt"
+    phi0.write_text("dims = 2\n0 = logistic 0.0 1.0 -1\n1 = logistic 0.0 1.0 -1\n")
+    out = files["dir"] / "degenerate-clf.txt"
+    capsys.readouterr()
+    rc = cli.main(["np-calibrate", "--model", files["model"], "--calibration",
+                   files["cal"], "--alpha", "0.2", "--delta", "0.2", "--rule",
+                   "missing", "--phi0", str(phi0), "--out", str(out)])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert "threshold inf" in printed and "degenerate True: margin " in printed
+    assert ">= alpha 0.2" in printed
+    assert "m_eff0 = n0 * (1 - sup phi0) = 300 * (1 - 0.999) = 0.3" in printed
+    # The classifier file carries no new line.
+    text = out.read_text()
+    assert "m_eff0" not in text and "degenerate = true" in text
+
+
 def test_fit_calibrate_classify_chain_reruns_byte_identical(files):
     d = files["dir"]
     p = {name: str(d / f"chain-{name}") for name in

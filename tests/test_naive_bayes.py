@@ -152,3 +152,23 @@ class TestFit:
         d0 = Dataset(np.zeros((5, 2)), 0)
         with pytest.raises(ValueError, match="1-D"):
             fit_naive_bayes(d1, d0, feature_map_1d=FeatureMap.identity(2))
+
+    def test_whole_point_missingness_has_no_coordinate_slice(self):
+        joint = MissingnessFunction.whole_point(
+            HalfspaceIndicator(direction=np.array([0.0, 1.0]), level=2.0, p=0.9)
+        )
+        with pytest.raises(ValueError, match="whole points"):
+            joint.coordinate_entry(0)
+        rng = np.random.default_rng(15)
+        z1 = rng.normal(size=(200, 2))
+        z0 = rng.normal(size=(200, 2))
+        cfg = KliepFitConfig(weighting_mode=Mnar(joint, MissingnessFunction.none(2)))
+        with pytest.raises(ValueError, match="acts on whole points"):
+            fit_naive_bayes(Dataset(joint.corrupt(z1, rng), 1), Dataset(z0, 0), cfg)
+
+    def test_one_coordinate_joint_entry_is_its_own_slice(self):
+        entry = HalfspaceIndicator(direction=np.array([1.0]), level=0.0, p=0.5)
+        joint = MissingnessFunction.whole_point(entry)
+        assert joint.coordinate_entry(0) is entry
+        with pytest.raises(ValueError, match="per-coordinate entry 1"):
+            joint.coordinate_entry(1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mnar_dre.scenarios import (
+    GaussianMixture,
     SCENARIO_NAMES,
     generate,
     make_scenario,
@@ -117,3 +118,75 @@ class TestPopulationTheta:
         sigma = np.array([[1.0, rho], [rho, 1.0]])
         expected = np.linalg.solve(sigma, np.array([-1.0, -2.0]))
         assert theta == pytest.approx(expected, abs=1e-6)
+
+
+def _scenarios():
+    """Every scenario, with nb-rho correlated and vary-misspec a true mixture."""
+    params = {"nb-rho": 0.6, "vary-misspec": 0.3}
+    return [make_scenario(name, params.get(name, 0.0)) for name in SCENARIO_NAMES]
+
+
+def _masked_sample(mix, n, rng):
+    """The per-component boolean-mask sampler, kept as a bit-exact oracle."""
+    comp = rng.choice(mix.weights.size, size=n, p=mix.weights)
+    eps = rng.standard_normal((n, mix.dim))
+    out = np.empty((n, mix.dim))
+    for k in range(mix.weights.size):
+        mask = comp == k
+        out[mask] = mix.means[k] + eps[mask] @ np.linalg.cholesky(mix.covs[k]).T
+    return out
+
+
+class TestGaussianMixture:
+    @pytest.mark.parametrize("sc", _scenarios(), ids=lambda sc: sc.name)
+    def test_log_pdf_matches_scipy_components(self, sc):
+        from scipy.special import logsumexp
+        from scipy.stats import multivariate_normal as mvn
+
+        rng = np.random.default_rng(11)
+        z = rng.normal(scale=2.0, size=(200, sc.dim))
+        # Far points: every linear-space density underflows to 0 here.
+        far = 40.0 * np.eye(sc.dim)
+        z = np.vstack([z, far, -far])
+        assert not np.any(mvn.pdf(far, sc.class1.means[0], sc.class1.covs[0]))
+        for mix in (sc.class1, sc.class0):
+            parts = [
+                np.log(w) + mvn.logpdf(z, mean=mu, cov=cov)
+                for w, mu, cov in zip(mix.weights, mix.means, mix.covs)
+            ]
+            expected = logsumexp(np.column_stack(parts), axis=1)
+            got = mix.log_pdf(z)
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["gauss5d", "nb-rho", "mixture2d", "vary-misspec"])
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_sample_bit_identical_to_masked_sampler(self, name, n):
+        # gauss5d and nb-rho have one component: the sampler must still draw
+        # the component labels, or the normals come from another stream.
+        sc = make_scenario(name, 0.3 if name in ("nb-rho", "vary-misspec") else 0.0)
+        for mix in (sc.class1, sc.class0):
+            got = mix.sample(n, np.random.default_rng(5))
+            expected = _masked_sample(mix, n, np.random.default_rng(5))
+            assert got.shape == (n, mix.dim)
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            [[1.0, 2.0], [2.0, 1.0]],  # indefinite
+            [[1.0, 1.0], [1.0, 1.0]],  # singular
+            [[-1.0, 0.0], [0.0, 1.0]],  # negative variance
+        ],
+    )
+    def test_non_positive_definite_covariance_raises(self, cov):
+        with pytest.raises(ValueError, match="positive definite"):
+            GaussianMixture(weights=np.array([1.0]), means=np.zeros((1, 2)), covs=np.array([cov]))
+
+    def test_asymmetric_covariance_raises(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussianMixture(
+                weights=np.array([1.0]),
+                means=np.zeros((1, 2)),
+                covs=np.array([[[1.0, 0.5], [0.0, 1.0]]]),
+            )
