@@ -231,7 +231,11 @@ class NpClassifier:
         )
 
     def degenerate_reason(self) -> str | None:
-        """Why no calibration score qualified as the threshold, or None."""
+        """Why no calibration score qualified as the threshold, or None.
+
+        The weighted rule's reason reads m_eff0, which a classifier built by
+        build_np_classifier carries and one read from a file does not.
+        """
         p = self.provenance
         if not p.degenerate:
             return None
@@ -250,13 +254,11 @@ class NpClassifier:
                 "no calibration score has weighted tail <= alpha - margin = "
                 f"{self.alpha!r} - {p.margin:.6g}"
             )
-        if p.m_eff0 is not None:
-            sup_phi0 = 1.0 - p.m_eff0 / n0
-            why += (
-                f", with m_eff0 = n0 * (1 - sup phi0) = {n0} * (1 - {sup_phi0:.6g})"
-                f" = {p.m_eff0:.6g}"
-            )
-        return why
+        sup_phi0 = 1.0 - p.m_eff0 / n0
+        return why + (
+            f", with m_eff0 = n0 * (1 - sup phi0) = {n0} * (1 - {sup_phi0:.6g})"
+            f" = {p.m_eff0:.6g}"
+        )
 
 
 def calibration_scores(

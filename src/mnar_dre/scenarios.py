@@ -57,8 +57,6 @@ class GaussianMixture:
             c = c[None, :, :]
         if not np.isclose(w.sum(), 1.0):
             raise ValueError("mixture weights must sum to 1")
-        if not np.allclose(c, c.transpose(0, 2, 1)):
-            raise ValueError("covariances must be symmetric")
         chols = np.linalg.cholesky(c)  # LinAlgError (a ValueError) unless PD
         d = m.shape[1]
         log_diag = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
@@ -89,8 +87,6 @@ class GaussianMixture:
         k, d = self.weights.size, self.dim
         comp = rng.choice(k, size=n, p=self.weights)
         eps = rng.standard_normal((n, d))
-        if k == 1:
-            return self.means[0] + eps @ self._chols_t_stacked
         cand = (eps @ self._chols_t_stacked).reshape(n, k, d) + self.means
         return cand[np.arange(n), comp]
 

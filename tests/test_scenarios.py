@@ -182,11 +182,3 @@ class TestGaussianMixture:
     def test_non_positive_definite_covariance_raises(self, cov):
         with pytest.raises(ValueError, match="positive definite"):
             GaussianMixture(weights=np.array([1.0]), means=np.zeros((1, 2)), covs=np.array([cov]))
-
-    def test_asymmetric_covariance_raises(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            GaussianMixture(
-                weights=np.array([1.0]),
-                means=np.zeros((1, 2)),
-                covs=np.array([[[1.0, 0.5], [0.0, 1.0]]]),
-            )
