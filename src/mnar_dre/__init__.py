@@ -23,7 +23,6 @@ from .weighting import point_importance_weights
 from .kliep import (
     COMPLETE_CASE,
     FULLY_OBSERVED,
-    KliepFitConfig,
     Mnar,
     ObjectiveValue,
     fit,

@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__, dataio, experiments, kliep, naive_bayes
-from .kliep import COMPLETE_CASE, FULLY_OBSERVED, KliepFitConfig, Mnar
+from .kliep import COMPLETE_CASE, FULLY_OBSERVED, Mnar
 from .missingness import learn_missingness
 from .model import Dataset, DataError, FeatureMap, MissingnessFunction, NumericError
 from .np_classify import build_np_classifier, classify as np_classify_points
@@ -112,15 +112,14 @@ def _cmd_fit(args) -> int:
         weighting = FULLY_OBSERVED
     else:
         raise _UsageError(f"unknown fit mode {mode!r}")
-    config = KliepFitConfig(weighting_mode=weighting)
     if args.per_dim:
         fmap1d = _feature_map(args.features or "identity", 1)
         model = naive_bayes.fit_naive_bayes(
-            class1, class0, config, feature_map_1d=fmap1d
+            class1, class0, weighting, feature_map_1d=fmap1d
         )
     else:
         fmap = _feature_map(args.features or "identity", class1.dim)
-        model = kliep.fit(class1, class0, fmap, config)
+        model = kliep.fit(class1, class0, fmap, weighting)
         phi0_for_n = weighting.phi0 if isinstance(weighting, Mnar) else None
         if mode == "cckliep":
             class0 = class0.restrict(class0.observed_rows())
@@ -321,66 +320,42 @@ def _cmd_experiment(args) -> int:
          "corrupt_class": int, "queries": int, "workers": int},
     )
     _require(args, "scenario", "out", "n")
+    # Unset flags take the defaults of the experiment config dataclasses.
+    keys = ["reps", "seed", "corrupt_class", "workers"]
+    if args.kind != "msd":
+        keys += ["alpha", "delta", "n_test", "n_type1", "calibration_n", "queries"]
+    given = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    if args.estimators:
+        given["estimators"] = tuple(args.estimators.split(","))
     ns = _parse_int_list(args.n)
-    seed = args.seed or 0
-    workers = args.workers or 1
-    meta = {
-        "command": f"experiment-{args.kind}",
-        "scenario": args.scenario,
-        "seed": seed,
-        "version": __version__,
-    }
     if args.kind == "msd":
-        estimators = tuple(
-            (args.estimators or "mkliep,cckliep").split(",")
-        )
-        cfg = experiments.MsdConfig(
-            scenario=args.scenario,
-            ns=ns,
-            reps=args.reps or 100,
-            seed=seed,
-            estimators=estimators,
-            rho=float(args.rho) if args.rho else 0.0,
-            corrupt_class=1 if args.corrupt_class is None else args.corrupt_class,
-            workers=workers,
-        )
+        rho = float(args.rho) if args.rho else 0.0
+        cfg = experiments.MsdConfig(scenario=args.scenario, ns=ns, rho=rho, **given)
         run = experiments.run_msd_experiment
     elif args.kind in ("power", "rho-sweep"):
-        estimators = tuple(
-            (args.estimators or "true-ratio,mkliep,cckliep").split(",")
-        )
+        if args.rule:
+            given["threshold_rule"] = args.rule
         rhos = _parse_float_list(args.rho) if args.kind == "rho-sweep" else None
         if args.kind == "rho-sweep" and not rhos:
             raise _UsageError("rho-sweep needs --rho with a comma-separated list")
+        rho = float(args.rho) if (args.rho and args.kind == "power") else 0.0
         cfg = experiments.PowerConfig(
-            scenario=args.scenario,
-            ns=ns,
-            rhos=rhos,
-            rho=float(args.rho) if (args.rho and args.kind == "power") else 0.0,
-            reps=args.reps or 100,
-            seed=seed,
-            estimators=estimators,
-            alpha=0.1 if args.alpha is None else args.alpha,
-            delta=0.1 if args.delta is None else args.delta,
-            n_test=args.n_test or 100_000,
-            n_type1=args.n_type1 or 100_000,
-            calibration_n=args.calibration_n,
-            threshold_rule=args.rule or "auto",
-            corrupt_class=1 if args.corrupt_class is None else args.corrupt_class,
-            queries=args.queries or 10,
-            workers=workers,
+            scenario=args.scenario, ns=ns, rhos=rhos, rho=rho, **given
         )
         run = experiments.run_power_experiment
     else:
         raise _UsageError(f"unknown experiment kind {args.kind!r}")
-    try:
-        rows = run(cfg)
-    except experiments.ConfigError as exc:
-        raise _UsageError(str(exc)) from None
+    rows = run(cfg)
     # The worker count does not change results, so it stays out of the hash.
     settings = dataclasses.asdict(cfg)
     del settings["workers"]
-    meta["config_hash"] = dataio.config_hash(settings)
+    meta = {
+        "command": f"experiment-{args.kind}",
+        "scenario": args.scenario,
+        "seed": cfg.seed,
+        "version": __version__,
+        "config_hash": dataio.config_hash(settings),
+    }
     dataio.write_table_csv(args.out, rows, meta=meta)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -532,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, experiments.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

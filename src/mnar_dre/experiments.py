@@ -16,7 +16,7 @@ import numpy as np
 from scipy.stats import norm
 
 from . import kliep, naive_bayes
-from .kliep import COMPLETE_CASE, FULLY_OBSERVED, KliepFitConfig, Mnar
+from .kliep import COMPLETE_CASE, FULLY_OBSERVED, Mnar
 from .missingness import learn_missingness
 from .model import Dataset, DataError, NumericError
 from .np_classify import build_np_classifier, classify
@@ -47,6 +47,9 @@ class MsdConfig:
     ci_level: float = 0.99
     workers: int = 1
 
+    def __post_init__(self):
+        _check_counts(self, ("ns", "reps", "workers"))
+
 
 @dataclass(frozen=True)
 class PowerConfig:
@@ -71,9 +74,25 @@ class PowerConfig:
     ci_level: float = 0.99
     workers: int = 1
 
+    def __post_init__(self):
+        _check_counts(
+            self,
+            ("ns", "reps", "n_test", "n_type1", "calibration_n", "queries", "workers"),
+        )
+
 
 class ConfigError(ValueError):
     """An experiment configuration that no replication can run."""
+
+
+def _check_counts(cfg, fields: tuple[str, ...]) -> None:
+    """Refuse a count below 1, naming the command-line flag that sets it."""
+    for field in fields:
+        value = getattr(cfg, field)
+        for v in value if isinstance(value, tuple) else (value,):
+            if v is not None and v < 1:
+                flag = "--n" if field == "ns" else "--" + field.replace("_", "-")
+                raise ConfigError(f"{flag} must be at least 1, got {v}")
 
 
 def _make_scenario(name: str, rho: float) -> Scenario:
@@ -104,14 +123,12 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
 def _fit_theta(name: str, draw: SyntheticDraw) -> np.ndarray:
     fmap = kliep.FeatureMap.identity(draw.latent1.dim)
     if name == "mkliep":
-        cfg = KliepFitConfig(weighting_mode=Mnar(draw.phi1, draw.phi0))
-        return kliep.fit(draw.corrupted1, draw.corrupted0, fmap, cfg).theta
+        mode = Mnar(draw.phi1, draw.phi0)
+        return kliep.fit(draw.corrupted1, draw.corrupted0, fmap, mode).theta
     if name == "cckliep":
-        cfg = KliepFitConfig(weighting_mode=COMPLETE_CASE)
-        return kliep.fit(draw.corrupted1, draw.corrupted0, fmap, cfg).theta
+        return kliep.fit(draw.corrupted1, draw.corrupted0, fmap, COMPLETE_CASE).theta
     if name == "kliep-oracle":
-        cfg = KliepFitConfig(weighting_mode=FULLY_OBSERVED)
-        return kliep.fit(draw.latent1, draw.latent0, fmap, cfg).theta
+        return kliep.fit(draw.latent1, draw.latent0, fmap, FULLY_OBSERVED).theta
     raise ValueError(f"unknown parameter estimator {name!r}")
 
 
@@ -123,26 +140,24 @@ def _fit_score(name: str, draw: SyntheticDraw, queries: int, rng: np.random.Gene
         fmap = kliep.FeatureMap.identity(draw.latent1.dim)
         return kliep.LogLinearRatioModel(theta=theta, feature_map=fmap).log_ratio
     if name == "nb-mkliep":
-        cfg = KliepFitConfig(weighting_mode=Mnar(draw.phi1, draw.phi0))
+        mode = Mnar(draw.phi1, draw.phi0)
         return naive_bayes.fit_naive_bayes(
-            draw.corrupted1, draw.corrupted0, cfg, set_normalizers=False
+            draw.corrupted1, draw.corrupted0, mode, set_normalizers=False
         ).log_ratio
     if name == "nb-cckliep":
-        cfg = KliepFitConfig(weighting_mode=COMPLETE_CASE)
         return naive_bayes.fit_naive_bayes(
-            draw.corrupted1, draw.corrupted0, cfg, set_normalizers=False
+            draw.corrupted1, draw.corrupted0, COMPLETE_CASE, set_normalizers=False
         ).log_ratio
     if name == "nb-kliep-oracle":
-        cfg = KliepFitConfig(weighting_mode=FULLY_OBSERVED)
         return naive_bayes.fit_naive_bayes(
-            draw.latent1, draw.latent0, cfg, set_normalizers=False
+            draw.latent1, draw.latent0, FULLY_OBSERVED, set_normalizers=False
         ).log_ratio
     if name == "nb-mkliep-learned":
         phi1_hat = learn_missingness(draw.corrupted1, draw.latent1, queries, rng)
         phi0_hat = learn_missingness(draw.corrupted0, draw.latent0, queries, rng)
-        cfg = KliepFitConfig(weighting_mode=Mnar(phi1_hat, phi0_hat))
         return naive_bayes.fit_naive_bayes(
-            draw.corrupted1, draw.corrupted0, cfg, set_normalizers=False
+            draw.corrupted1, draw.corrupted0, Mnar(phi1_hat, phi0_hat),
+            set_normalizers=False,
         ).log_ratio
     raise ValueError(f"unknown estimator {name!r}")
 
@@ -165,7 +180,7 @@ def _power_rep(payload) -> dict[str, tuple[float, float, bool]]:
     cfg, scenario, n, rep = payload
     rng = _rep_rng(cfg.seed, rep)
     draw = generate(scenario, n, rng, cfg.corrupt_class)
-    calib_n = cfg.calibration_n or n
+    calib_n = n if cfg.calibration_n is None else cfg.calibration_n
     calib_values = scenario.class0.sample(calib_n, rng)
     if cfg.corrupt_class == 0:
         calib_values = draw.phi0.corrupt(calib_values, rng)

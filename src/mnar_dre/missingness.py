@@ -6,7 +6,9 @@ enriched subsample over-represents the observed class, so a plain logistic
 regression of the missing indicator on the value has a biased intercept.
 The rare-events correction subtracts log(m / n_missing) from the fitted
 intercept -- m queried out of n_missing missing -- which restores consistency;
-the slope needs no adjustment.
+the slope needs no adjustment.  The logistic coefficients are fit by damped
+Newton (``optimize.newton``); separated subsamples, whose likelihood has no
+finite maximizer, are detected exactly and their coefficients clipped.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from .model import Dataset, DataError, LogisticScalar, MissingnessFunction, Zero
+from .optimize import newton
 
 _COEF_CAP = 30.0
 
@@ -101,38 +104,58 @@ def simulate_query(
     )
 
 
-def _newton_logistic(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Deterministic Newton iteration for a scalar-covariate logistic model.
+def _logistic_nll(z: np.ndarray, y: np.ndarray):
+    """Summed negative log-likelihood of logit P(y = 1) = b0 + b1 z, returning
+    (loss, gradient, Hessian) as ``optimize.newton`` expects.
 
-    Separated data has no finite optimum; it shows up either as coefficients
-    running past the cap or as Newton failing to converge in 100 iterations
-    (quadratic convergence makes 100 ample for any finite optimum).
+    The sum, not the mean, is minimized so that the solver's absolute
+    gradient tolerance does not loosen as the subsample grows.
     """
     X = np.column_stack([np.ones_like(z), z])
-    beta = np.zeros(2)
-    for _ in range(100):
+    sign = 1.0 - 2.0 * y  # -log P(y | eta) = softplus(sign * eta)
+
+    def loss_grad_hess(beta: np.ndarray):
         eta = X @ beta
         p = expit(eta)
-        grad = X.T @ (y - p)
-        w = p * (1.0 - p)
-        hess = (X * w[:, None]).T @ X + 1e-8 * np.eye(2)
-        step = np.linalg.solve(hess, grad)
-        beta = beta + step
-        if np.abs(beta).max() > _COEF_CAP:
-            return np.clip(beta, -_COEF_CAP, _COEF_CAP), True
-        if np.linalg.norm(step) < 1e-10:
-            return beta, False
-    return np.clip(beta, -_COEF_CAP, _COEF_CAP), True
+        loss = float(np.logaddexp(0.0, sign * eta).sum())
+        hess = (X * (p * expit(-eta))[:, None]).T @ X
+        return loss, X.T @ (p - y), hess
+
+    return loss_grad_hess
+
+
+def _separated(z: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the logistic likelihood has no finite maximizer.
+
+    With one covariate and an intercept that happens exactly when a threshold
+    t splits the labels (every z of one label <= t <= every z of the other)
+    and z is not constant: the likelihood then keeps rising as the slope
+    grows.  Touching ranges (quasi-separation) count as separated.
+    """
+    z0, z1 = z[y == 0], z[y == 1]
+    if z.min() == z.max():
+        return False
+    return bool(z0.max() <= z1.min() or z1.max() <= z0.min())
 
 
 def fit_adjusted_logistic(subsample: QuerySubsample) -> AdjustedLogisticFit:
-    """Fit the missingness logistic on a query subsample, correcting the intercept."""
+    """Fit the missingness logistic on a query subsample, correcting the intercept.
+
+    The coefficients minimize the summed negative log-likelihood by damped
+    Newton (``optimize.newton``).  On separated data, where no finite
+    optimum exists, they are clipped to +-30 and the fit is flagged
+    ``separated``.
+    """
+    z = np.asarray(subsample.values, dtype=float)
     y = np.asarray(subsample.labels, dtype=float)
     if y.min() == y.max():
         raise DataError("query subsample must contain both observed and missing labels")
     if subsample.n_missing > 0 and subsample.n_queried < 1:
         raise DataError("at least one query is required when entries are missing")
-    beta, separated = _newton_logistic(np.asarray(subsample.values, dtype=float), y)
+    beta = newton(_logistic_nll(z, y), np.zeros(2)).theta
+    separated = _separated(z, y)
+    if separated:
+        beta = np.clip(beta, -_COEF_CAP, _COEF_CAP)
     correction = np.log(subsample.n_queried / subsample.n_missing)
     return AdjustedLogisticFit(
         intercept_raw=float(beta[0]),

@@ -10,12 +10,12 @@ resulting classifier degrades.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kliep
-from .kliep import COMPLETE_CASE, FULLY_OBSERVED, KliepFitConfig, Mnar
+from .kliep import COMPLETE_CASE, FULLY_OBSERVED, Mnar, WeightingMode
 from .model import Dataset, FeatureMap, LogLinearRatioModel, MissingnessFunction
 
 
@@ -75,19 +75,18 @@ def _slice_mode(mode, j: int):
 def fit_naive_bayes(
     class1: Dataset,
     class0: Dataset,
-    config: KliepFitConfig | None = None,
+    mode: WeightingMode = FULLY_OBSERVED,
     feature_map_1d: FeatureMap | None = None,
     set_normalizers: bool = True,
 ) -> NaiveBayesRatioModel:
     """Fit one ratio model per coordinate and return the product model.
 
-    ``config.weighting_mode`` carries the per-coordinate missingness pair in
-    MNAR mode; complete-case mode discards the missing entries of each
-    coordinate separately.  Per-dimension normalizers are estimated by
+    An MNAR ``mode`` carries the per-coordinate missingness pair;
+    complete-case mode discards the missing entries of each coordinate
+    separately.  Per-dimension normalizers are estimated by
     default (classification ignores them; they matter only for calibrated
     ratio values).
     """
-    config = config or KliepFitConfig()
     fmap = feature_map_1d or FeatureMap.identity(1)
     if fmap.input_dim != 1:
         raise ValueError("the per-dimension feature map must take 1-D input")
@@ -95,18 +94,14 @@ def fit_naive_bayes(
         raise ValueError("class dimensions differ")
     models = []
     for j in range(class1.dim):
-        sub_cfg = replace(config, weighting_mode=_slice_mode(config.weighting_mode, j))
+        sub_mode = _slice_mode(mode, j)
         d1 = Dataset(class1.values[:, j : j + 1], class1.label)
         d0 = Dataset(class0.values[:, j : j + 1], class0.label)
         try:
-            sub = kliep.fit(d1, d0, fmap, sub_cfg)
+            sub = kliep.fit(d1, d0, fmap, sub_mode)
             if set_normalizers:
-                phi0 = (
-                    sub_cfg.weighting_mode.phi0
-                    if isinstance(sub_cfg.weighting_mode, Mnar)
-                    else None
-                )
-                if phi0 is None and sub_cfg.weighting_mode == COMPLETE_CASE:
+                phi0 = sub_mode.phi0 if isinstance(sub_mode, Mnar) else None
+                if phi0 is None and sub_mode == COMPLETE_CASE:
                     mask = ~np.isnan(d0.values[:, 0])
                     d0 = d0.restrict(mask)
                 sub = sub.with_normalizer(kliep.normalizing_constant(sub, d0, phi0))

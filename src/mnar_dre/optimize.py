@@ -1,9 +1,12 @@
-"""Deterministic full-batch gradient descent with Armijo backtracking.
+"""Damped Newton method for the package's smooth convex fits.
 
-Shared by the KLIEP and f-divergence fits (through ``kliep``); missingness
-learning runs its own Newton loop.  The loop is intentionally plain:
-fixed evaluation order, no randomness, so a fit is bit-reproducible for a
-given objective and configuration.
+KLIEP, its KL/JS f-divergence variants (through ``kliep``) and the
+query-corrected logistic missingness model (``missingness``) all minimize a
+smooth convex function of d <= 10 parameters with a cheap exact Hessian.
+Each step solves ``hess @ step = grad`` by least squares and backtracks from
+the full step until the Armijo condition holds.  The loop is plain: fixed
+evaluation order, no randomness, so a fit is bit-reproducible for a given
+objective.
 """
 
 from __future__ import annotations
@@ -13,11 +16,19 @@ from typing import Callable
 
 import numpy as np
 
-_MIN_STEP = 1e-20
+GRAD_TOL = 1e-8
+MAX_ITERS = 100
+_ARMIJO_C = 1e-4
+_MIN_STEP = 1e-10
+# Near the optimum the true decrease falls below the loss's rounding error,
+# and a good Newton step can raise the computed loss.  The line search allows
+# a rise of a few ulps of |loss|, and accepts any point that meets GRAD_TOL,
+# instead of stalling just above the tolerance.
+_SLACK_ULPS = 4.0
 
 
 @dataclass(frozen=True, eq=False)
-class GdResult:
+class NewtonResult:
     theta: np.ndarray
     loss: float
     grad_norm: float
@@ -25,67 +36,48 @@ class GdResult:
     iterations: int
 
 
-def gradient_descent(
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+def newton(
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
     theta0: np.ndarray,
-    *,
-    grad_tol: float = 1e-8,
-    max_iters: int = 10_000,
-    init_step: float = 1.0,
-    armijo_c: float = 1e-4,
-    shrink: float = 0.5,
-) -> GdResult:
-    """Minimize a smooth convex objective; returns the best iterate found.
+) -> NewtonResult:
+    """Minimize ``fun``, which returns (loss, gradient, Hessian), from ``theta0``.
 
-    The line search restarts from ``init_step`` each iteration and shrinks
-    until the Armijo condition holds; non-finite candidate values count as
-    rejections.  If no acceptable step exists above the step floor the loop
-    stops early with ``converged=False``.
+    ``converged`` holds iff the final gradient norm is at most ``GRAD_TOL``.
+    The loop stops without converging after ``MAX_ITERS`` steps, when the
+    step is not a descent direction (a Hessian singular along the gradient,
+    as on an objective unbounded below), or when no step above the floor
+    passes the line search.  Non-finite candidate losses are rejected.
     """
     theta = np.array(theta0, dtype=float)
-    loss, grad = value_and_grad(theta)
+    loss, grad, hess = fun(theta)
     if not np.isfinite(loss):
         raise ValueError("objective is non-finite at the initial point")
-    best_theta, best_loss = theta.copy(), loss
-    converged = False
     iterations = 0
-    stalls = 0
-    while iterations < max_iters:
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= grad_tol:
-            converged = True
+    while iterations < MAX_ITERS and np.linalg.norm(grad) > GRAD_TOL:
+        direction = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        slope = -float(grad @ direction)
+        if not slope < 0.0:
             break
-        step = init_step
-        slope = -(gnorm * gnorm)  # directional derivative along -grad
-        accepted = False
-        prev_loss = loss
+        slack = _SLACK_ULPS * np.spacing(abs(loss))
+        step = 1.0
         while step >= _MIN_STEP:
-            cand = theta - step * grad
-            cand_loss, cand_grad = value_and_grad(cand)
-            if np.isfinite(cand_loss) and cand_loss <= loss + armijo_c * step * slope:
-                theta, loss, grad = cand, cand_loss, cand_grad
-                accepted = True
+            cand = theta - step * direction
+            cand_loss, cand_grad, cand_hess = fun(cand)
+            if np.isfinite(cand_loss) and (
+                cand_loss <= loss + _ARMIJO_C * step * slope + slack
+                or np.linalg.norm(cand_grad) <= GRAD_TOL
+            ):
                 break
-            step *= shrink
-        if not accepted:
-            break  # at numerical precision; report best iterate
-        iterations += 1
-        if loss < best_loss:
-            best_theta, best_loss = theta.copy(), loss
-        # Near the optimum the Armijo threshold can round to the current loss
-        # and accept zero-progress steps; bail out once decrease is below
-        # float resolution several times in a row.
-        stalls = stalls + 1 if loss >= prev_loss else 0
-        if stalls >= 3:
+            step *= 0.5
+        else:
             break
-    if float(np.linalg.norm(grad)) <= grad_tol:
-        converged = True
-    if loss <= best_loss:
-        best_theta, best_loss = theta, loss
-    return GdResult(
-        theta=np.asarray(best_theta, dtype=float),
-        loss=float(best_loss),
-        grad_norm=float(np.linalg.norm(grad)),
-        converged=converged,
+        theta, loss, grad, hess = cand, cand_loss, cand_grad, cand_hess
+        iterations += 1
+    grad_norm = float(np.linalg.norm(grad))
+    return NewtonResult(
+        theta=theta,
+        loss=float(loss),
+        grad_norm=grad_norm,
+        converged=grad_norm <= GRAD_TOL,
         iterations=iterations,
     )

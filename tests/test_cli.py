@@ -11,7 +11,7 @@ import pytest
 
 from mnar_dre import cli, dataio
 from mnar_dre.model import Dataset, LogisticScalar, MissingnessFunction
-from mnar_dre.scenarios import SCENARIO_NAMES, make_scenario
+from mnar_dre.scenarios import SCENARIO_NAMES, generate, make_scenario
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -234,6 +234,34 @@ class TestExperimentConfig:
                        "--out", str(files["dir"] / "unused-table.csv")])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, flag",
+        [("msd", flag) for flag in ("--n", "--reps", "--workers")]
+        + [("power", flag) for flag in ("--n", "--reps", "--n-test", "--n-type1",
+                                        "--calibration-n", "--queries", "--workers")],
+    )
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_count_below_one_exits_2(self, files, kind, flag, value, capsys):
+        out = files["dir"] / "unused-table.csv"
+        args = {"--n": "50", "--reps": "1", flag: value}
+        argv = ["experiment", kind, "--scenario", "gauss5d", "--out", str(out)]
+        rc = cli.main(argv + [x for item in args.items() for x in item])
+        assert rc == 2
+        assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_strict_fit_on_well_posed_data_exits_0(tmp_path):
+    # A fully observed, well-posed sample: the fit must converge, so --strict
+    # writes the model and exits 0.
+    draw = generate(make_scenario("mixture2d"), 500, np.random.default_rng((500, 0, 7)))
+    data, model = tmp_path / "latent.csv", tmp_path / "model.txt"
+    dataio.write_dataset_csv(data, draw.latent0, draw.latent1)
+    rc = cli.main(["fit", "--mode", "kliep", "--strict", "--data", str(data),
+                   "--out", str(model)])
+    assert rc == 0
+    assert "converged = true" in model.read_text()
 
 
 def test_np_calibrate_says_why_the_threshold_is_degenerate(files, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mnar_dre.fdiv import fdiv_fit, fdiv_objective
-from mnar_dre.kliep import FULLY_OBSERVED, KliepFitConfig, Mnar, sample_objective
+from mnar_dre.kliep import FULLY_OBSERVED, Mnar, sample_objective
 from mnar_dre.model import (
     Dataset,
     FeatureMap,
@@ -167,8 +167,8 @@ class TestFit:
         d1, d0 = _pair(rng, 400, d=2)
         fmap = FeatureMap.identity(2)
         mode = Mnar(MissingnessFunction.none(2), MissingnessFunction.none(2))
-        a = fdiv_fit(d1, d0, fmap, kind, KliepFitConfig(weighting_mode=FULLY_OBSERVED))
-        b = fdiv_fit(d1, d0, fmap, kind, KliepFitConfig(weighting_mode=mode))
+        a = fdiv_fit(d1, d0, fmap, kind, FULLY_OBSERVED)
+        b = fdiv_fit(d1, d0, fmap, kind, mode)
         assert np.array_equal(a.theta, b.theta)
 
     @pytest.mark.parametrize("kind", ["kl", "js"])
@@ -187,10 +187,7 @@ class TestFit:
         x1 = Dataset(phi1.corrupt(z1, rng), 1)
         latent1, latent0 = Dataset(z1, 1), Dataset(z0, 0)
         fmap = FeatureMap.identity(2)
-        weighted = fdiv_fit(
-            x1, latent0, fmap, kind,
-            KliepFitConfig(weighting_mode=Mnar(phi1, phi0)),
-        )
+        weighted = fdiv_fit(x1, latent0, fmap, kind, Mnar(phi1, phi0))
         full = fdiv_fit(latent1, latent0, fmap, kind)
         assert weighted.theta == pytest.approx(full.theta, abs=0.06)
         # exact population argmax for the KL case: t e^{||t||^2/2} = ||mu||

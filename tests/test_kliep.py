@@ -4,7 +4,6 @@ import pytest
 from mnar_dre.kliep import (
     COMPLETE_CASE,
     FULLY_OBSERVED,
-    KliepFitConfig,
     Mnar,
     fit,
     normalizing_constant,
@@ -150,9 +149,9 @@ class TestFit:
         d1, d0 = _gaussian_pair(rng, 500, d=2)
         fmap = FeatureMap.identity(2)
         mode = Mnar(MissingnessFunction.none(2), MissingnessFunction.none(2))
-        t_fo = fit(d1, d0, fmap, KliepFitConfig(weighting_mode=FULLY_OBSERVED)).theta
-        t_mn = fit(d1, d0, fmap, KliepFitConfig(weighting_mode=mode)).theta
-        t_cc = fit(d1, d0, fmap, KliepFitConfig(weighting_mode=COMPLETE_CASE)).theta
+        t_fo = fit(d1, d0, fmap, FULLY_OBSERVED).theta
+        t_mn = fit(d1, d0, fmap, mode).theta
+        t_cc = fit(d1, d0, fmap, COMPLETE_CASE).theta
         assert np.array_equal(t_fo, t_mn)
         assert np.array_equal(t_fo, t_cc)
 
@@ -169,16 +168,20 @@ class TestFit:
         assert abs(model_a.theta[0] - model_b.theta[0]) < 1e-6
 
     def test_not_converged_flag(self):
+        # A constant class-0 feature makes the loss linear in theta, so it is
+        # unbounded below: the Hessian is zero and the solver stops at once.
         rng = np.random.default_rng(25)
-        d1, d0 = _gaussian_pair(rng, 200)
-        model = fit(d1, d0, FeatureMap.identity(1), KliepFitConfig(max_iters=1))
+        d1 = Dataset(rng.normal(0.5, 1.0, size=(200, 1)), 1)
+        d0 = Dataset(np.full((200, 1), 1.0), 0)
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            model = fit(d1, d0, FeatureMap.identity(1))
         assert not model.converged
 
     def test_degenerate_variance_warns_not_fails(self):
         d1 = Dataset(np.array([[0.1], [0.2], [0.3]]), 1)
         d0 = Dataset(np.array([[1.0], [1.0], [1.0]]), 0)
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            fit(d1, d0, FeatureMap.identity(1), KliepFitConfig(max_iters=5))
+            fit(d1, d0, FeatureMap.identity(1))
 
     def test_msd_decreases_with_effective_size(self):
         # cheap shadow of the full rate check: median squared distance at
@@ -192,9 +195,9 @@ class TestFit:
             sq = []
             for rep in range(30):
                 draw = generate(sc, n, np.random.default_rng((n, rep)))
-                cfg = KliepFitConfig(weighting_mode=Mnar(draw.phi1, draw.phi0))
+                mode = Mnar(draw.phi1, draw.phi0)
                 theta = fit(
-                    draw.corrupted1, draw.corrupted0, FeatureMap.identity(5), cfg
+                    draw.corrupted1, draw.corrupted0, FeatureMap.identity(5), mode
                 ).theta
                 sq.append(np.sum((theta - tt) ** 2))
             meds.append(np.median(sq))
@@ -272,9 +275,7 @@ class TestNormalizingConstant:
 
 class TestConfigValidation:
     def test_bad_params(self):
-        with pytest.raises(ValueError):
-            KliepFitConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            KliepFitConfig(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            KliepFitConfig(weighting_mode="bogus")
+        rng = np.random.default_rng(34)
+        d1, d0 = _gaussian_pair(rng, 20)
+        with pytest.raises(ValueError, match="weighting mode"):
+            fit(d1, d0, FeatureMap.identity(1), "bogus")

@@ -1,14 +1,38 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import expit
 
 from mnar_dre.missingness import (
-    _newton_logistic,
+    QuerySubsample,
     fit_adjusted_logistic,
     learn_missingness,
     simulate_query,
 )
 from mnar_dre.model import DataError, Dataset, EPS_PHI, LogisticScalar, Zero
+
+
+def _logistic_oracle(z, y):
+    """Maximum-likelihood (intercept, slope) by scipy BFGS, an independent
+    check on the package's Newton fit."""
+    X = np.column_stack([np.ones_like(z), z])
+    sign = 1.0 - 2.0 * y
+
+    def nll(beta):
+        eta = X @ beta
+        return np.logaddexp(0.0, sign * eta).sum(), X.T @ (expit(eta) - y)
+
+    res = minimize(nll, np.zeros(2), jac=True, method="BFGS", options={"gtol": 1e-10})
+    return res.x
+
+
+def _subsample(values, labels):
+    labels = np.asarray(labels, dtype=int)
+    n_missing = int(labels.sum())
+    return QuerySubsample(
+        indices=np.arange(labels.size), values=np.asarray(values, dtype=float),
+        labels=labels, n_total=labels.size, n_missing=n_missing, n_queried=n_missing,
+    )
 
 
 def _column_with_missing(rng, n=2000, b0=0.5, b1=1.0):
@@ -76,7 +100,7 @@ class TestAdjustedLogistic:
         sub = simulate_query(x, z, n_missing, 11)
         fit = fit_adjusted_logistic(sub)
         assert fit.intercept_corrected == fit.intercept_raw
-        beta_full, _ = _newton_logistic(z, np.isnan(x).astype(float))
+        beta_full = _logistic_oracle(z, np.isnan(x).astype(float))
         assert fit.intercept_raw == pytest.approx(beta_full[0], abs=1e-6)
         assert fit.slope == pytest.approx(beta_full[1], abs=1e-6)
 
@@ -85,8 +109,9 @@ class TestAdjustedLogistic:
         x, z = _column_with_missing(rng)
         sub = simulate_query(x, z, 60, 5)
         fit = fit_adjusted_logistic(sub)
-        beta_raw, _ = _newton_logistic(sub.values, sub.labels.astype(float))
-        assert fit.slope == beta_raw[1]
+        beta_raw = _logistic_oracle(sub.values, sub.labels.astype(float))
+        assert fit.slope == pytest.approx(beta_raw[1], abs=1e-6)
+        assert fit.intercept_raw == pytest.approx(beta_raw[0], abs=1e-6)
 
     def test_monte_carlo_recovery(self):
         # z ~ N(0,1), phi(z) = sigmoid(0.5 + z), n = 10^4, 200 queries:
@@ -110,15 +135,30 @@ class TestAdjustedLogistic:
     def test_separation_flagged_and_capped(self):
         values = np.concatenate([np.linspace(-3, -1, 20), np.linspace(1, 3, 20)])
         labels = np.concatenate([np.zeros(20), np.ones(20)])
-        from mnar_dre.missingness import QuerySubsample
-
-        sub = QuerySubsample(
-            indices=np.arange(40), values=values, labels=labels.astype(int),
-            n_total=40, n_missing=20, n_queried=20,
-        )
-        fit = fit_adjusted_logistic(sub)
+        fit = fit_adjusted_logistic(_subsample(values, labels))
         assert fit.separated
         assert abs(fit.slope) <= 30.0
+
+    def test_quasi_separation_flagged(self):
+        # The label ranges touch at 0 (max z0 = min z1): still no finite optimum.
+        values = np.concatenate([np.linspace(-3, 0, 20), np.linspace(0, 3, 20)])
+        labels = np.concatenate([np.zeros(20), np.ones(20)])
+        fit = fit_adjusted_logistic(_subsample(values, labels))
+        assert fit.separated
+        assert abs(fit.slope) <= 30.0 and abs(fit.intercept_raw) <= 30.0
+
+    def test_steep_overlapping_fit_not_clipped(self):
+        # Scaling the covariate by 1e-3 scales the optimal slope by 1e3; the
+        # labels still overlap, so the optimum is finite and comes back whole.
+        rng = np.random.default_rng(4)
+        x, z = _column_with_missing(rng)
+        sub = simulate_query(x, z, 60, 5)
+        base = fit_adjusted_logistic(sub)
+        steep = fit_adjusted_logistic(_subsample(sub.values * 1e-3, sub.labels))
+        assert not steep.separated
+        assert abs(steep.slope) > 30.0
+        assert steep.slope == pytest.approx(base.slope * 1e3, rel=1e-6)
+        assert steep.intercept_raw == pytest.approx(base.intercept_raw, abs=1e-6)
 
     def test_entry_respects_clamp(self):
         fit_entry = LogisticScalar(a0=0.0, a1=10.0, tau=-1)

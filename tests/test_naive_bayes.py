@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mnar_dre import kliep
-from mnar_dre.kliep import COMPLETE_CASE, KliepFitConfig, Mnar
+from mnar_dre.kliep import COMPLETE_CASE, Mnar
 from mnar_dre.model import (
     Dataset,
     FeatureMap,
@@ -85,9 +85,9 @@ class TestFit:
         )
         x1 = Dataset(phi.corrupt(z1, rng), 1)
         d0 = Dataset(z0, 0)
-        cfg = KliepFitConfig(weighting_mode=Mnar(phi, MissingnessFunction.none(1)))
-        nb = fit_naive_bayes(x1, d0, cfg, set_normalizers=False)
-        direct = kliep.fit(x1, d0, FeatureMap.identity(1), cfg)
+        mode = Mnar(phi, MissingnessFunction.none(1))
+        nb = fit_naive_bayes(x1, d0, mode, set_normalizers=False)
+        direct = kliep.fit(x1, d0, FeatureMap.identity(1), mode)
         assert np.array_equal(nb.per_dim[0].theta, direct.theta)
 
     def test_independent_gaussians_match_joint_fit(self):
@@ -111,8 +111,8 @@ class TestFit:
         z0 = rng.normal(0.0, 1.0, size=(n, 2))
         phi1 = _per_dim_phi(p=0.6)
         x1 = Dataset(phi1.corrupt(z1, rng), 1)
-        cfg = KliepFitConfig(weighting_mode=Mnar(phi1, MissingnessFunction.none(2)))
-        nb = fit_naive_bayes(x1, Dataset(z0, 0), cfg, set_normalizers=False)
+        mode = Mnar(phi1, MissingnessFunction.none(2))
+        nb = fit_naive_bayes(x1, Dataset(z0, 0), mode, set_normalizers=False)
         nb_theta = np.array([m.theta[0] for m in nb.per_dim])
         # correctly specified per-dim: population values are the mean shifts
         assert nb_theta == pytest.approx([0.5, 1.0], abs=0.06)
@@ -127,24 +127,19 @@ class TestFit:
     def test_error_tagged_with_dimension(self):
         d1 = Dataset(np.column_stack([np.ones(5), np.full(5, np.nan)]), 1)
         d0 = Dataset(np.ones((5, 2)), 0)
-        cfg = KliepFitConfig(
-            weighting_mode=Mnar(
-                MissingnessFunction.per_coordinate([Zero(), Zero()]),
-                MissingnessFunction.none(2),
-            )
+        mode = Mnar(
+            MissingnessFunction.per_coordinate([Zero(), Zero()]),
+            MissingnessFunction.none(2),
         )
         with pytest.raises(NumericError, match="dimension 1"):
-            fit_naive_bayes(d1, d0, cfg, set_normalizers=False)
+            fit_naive_bayes(d1, d0, mode, set_normalizers=False)
 
     def test_complete_case_mode(self):
         rng = np.random.default_rng(14)
         z1 = rng.normal(0.5, 1.0, size=(3000, 2))
         z0 = rng.normal(0.0, 1.0, size=(3000, 2))
         x1 = _per_dim_phi(p=0.5).corrupt(z1, rng)
-        nb = fit_naive_bayes(
-            Dataset(x1, 1), Dataset(z0, 0),
-            KliepFitConfig(weighting_mode=COMPLETE_CASE),
-        )
+        nb = fit_naive_bayes(Dataset(x1, 1), Dataset(z0, 0), COMPLETE_CASE)
         assert nb.dim == 2
 
     def test_feature_map_must_be_1d(self):
@@ -162,9 +157,9 @@ class TestFit:
         rng = np.random.default_rng(15)
         z1 = rng.normal(size=(200, 2))
         z0 = rng.normal(size=(200, 2))
-        cfg = KliepFitConfig(weighting_mode=Mnar(joint, MissingnessFunction.none(2)))
+        mode = Mnar(joint, MissingnessFunction.none(2))
         with pytest.raises(ValueError, match="acts on whole points"):
-            fit_naive_bayes(Dataset(joint.corrupt(z1, rng), 1), Dataset(z0, 0), cfg)
+            fit_naive_bayes(Dataset(joint.corrupt(z1, rng), 1), Dataset(z0, 0), mode)
 
     def test_one_coordinate_joint_entry_is_its_own_slice(self):
         entry = HalfspaceIndicator(direction=np.array([1.0]), level=0.0, p=0.5)
