@@ -24,13 +24,10 @@ from .kliep import (
     COMPLETE_CASE,
     FULLY_OBSERVED,
     Mnar,
-    ObjectiveValue,
     fit,
     normalizing_constant,
-    sample_objective,
 )
-from .fdiv import fdiv_fit, fdiv_objective
-from .naive_bayes import NaiveBayesRatioModel, evaluate_log_ratio, fit_naive_bayes
+from .naive_bayes import NaiveBayesRatioModel, fit_naive_bayes
 from .np_classify import (
     NpClassifier,
     ThresholdResult,

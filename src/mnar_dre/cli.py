@@ -40,21 +40,46 @@ class _UsageError(Exception):
     pass
 
 
-def _merge_config(args: argparse.Namespace, keys: dict[str, type]) -> None:
-    """Fill unset flags from the optional config file; flags win."""
-    if not getattr(args, "config", None):
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fill unset flags from the optional config file; flags win.
+
+    A key is a flag of the command without its leading dashes (``n-test`` for
+    ``--n-test``).  Its value goes through the flag's own ``type`` and
+    ``choices``, and a ``store_true`` flag takes ``true`` or ``false``.
+    """
+    if not args.config:
         return
     file_cfg = dataio.read_config_file(args.config)
-    for key, caster in keys.items():
-        if getattr(args, key, None) is None and key.replace("_", "-") in file_cfg:
-            raw = file_cfg[key.replace("_", "-")]
-            try:
-                setattr(args, key, caster(raw))
-            except ValueError:
-                raise _UsageError(f"config key {key!r}: cannot parse {raw!r}") from None
-    unknown = set(file_cfg) - {k.replace("_", "-") for k in keys}
+    flags = {
+        action.dest.replace("_", "-"): action
+        for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    unknown = set(file_cfg) - set(flags)
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, raw in file_cfg.items():
+        action = flags[key]
+        if getattr(args, action.dest) != action.default:
+            continue  # the flag was given
+        try:
+            value = _config_value(action, raw)
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise _UsageError(
+                f"config key {key!r}: cannot parse {raw!r} ({exc})"
+            ) from None
+        setattr(args, action.dest, value)
+
+
+def _config_value(action: argparse.Action, raw: str):
+    if action.nargs == 0:  # store_true
+        if raw not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return raw == "true"
+    value = action.type(raw) if action.type else raw
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"choose from {', '.join(map(str, action.choices))}")
+    return [value] if isinstance(action, argparse._AppendAction) else value
 
 
 def _require(args, *names) -> None:
@@ -63,12 +88,10 @@ def _require(args, *names) -> None:
             raise _UsageError(f"--{name.replace('_', '-')} is required")
 
 
-def _feature_map(kind: str, dim: int) -> FeatureMap:
-    if kind == "identity":
-        return FeatureMap.identity(dim)
+def _feature_map(kind: str | None, dim: int) -> FeatureMap:
     if kind == "identity-squares":
         return FeatureMap.identity_plus_squares(dim)
-    raise _UsageError(f"unknown feature map {kind!r}")
+    return FeatureMap.identity(dim)
 
 
 def _read_phi(path: str | None) -> MissingnessFunction | None:
@@ -78,12 +101,46 @@ def _read_phi(path: str | None) -> MissingnessFunction | None:
         return dataio.missingness_from_text(fh.read())
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(","))
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}"
+        ) from None
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(","))
+def _float_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of numbers, got {text!r}"
+        ) from None
+
+
+def _class_labels(text: str) -> tuple[int, ...]:
+    labels = [t.strip() for t in text.split(",")]
+    if not set(labels) <= {"0", "1"} or len(set(labels)) < len(labels):
+        raise argparse.ArgumentTypeError(
+            f"expected distinct class labels 0 and 1 in a comma list, got {text!r}"
+        )
+    return tuple(int(t) for t in labels)
+
+
+def _trim_spec(spec: str) -> tuple[int, tuple[float, float]]:
+    """Parse ``column:lo:hi``, with ``none`` for an open side."""
+    parts = spec.split(":")
+    try:
+        if len(parts) != 3:
+            raise ValueError
+        lo = -float("inf") if parts[1] == "none" else float(parts[1])
+        hi = float("inf") if parts[2] == "none" else float(parts[2])
+        return int(parts[0]), (lo, hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"trim spec {spec!r} must be column:lo:hi (use 'none' to skip a side)"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -92,39 +149,26 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _cmd_fit(args) -> int:
-    _merge_config(
-        args,
-        {"data": str, "out": str, "mode": str, "features": str, "phi": str,
-         "phi0": str, "missing_token": str, "label_column": str, "per_dim": bool},
-    )
     _require(args, "data", "out", "mode")
     class0, class1 = dataio.read_dataset_csv(
         args.data, args.missing_token or "NA", args.label_column or "label"
     )
-    mode = args.mode
-    if mode == "mkliep":
+    if args.mode == "mkliep":
         phi1 = _read_phi(args.phi) or MissingnessFunction.none(class1.dim)
         phi0 = _read_phi(args.phi0) or MissingnessFunction.none(class0.dim)
         weighting = Mnar(phi1, phi0)
-    elif mode == "cckliep":
-        weighting = COMPLETE_CASE
-    elif mode == "kliep":
-        weighting = FULLY_OBSERVED
     else:
-        raise _UsageError(f"unknown fit mode {mode!r}")
+        weighting = {"cckliep": COMPLETE_CASE, "kliep": FULLY_OBSERVED}[args.mode]
     if args.per_dim:
-        fmap1d = _feature_map(args.features or "identity", 1)
+        fmap1d = _feature_map(args.features, 1)
         model = naive_bayes.fit_naive_bayes(
             class1, class0, weighting, feature_map_1d=fmap1d
         )
     else:
-        fmap = _feature_map(args.features or "identity", class1.dim)
+        fmap = _feature_map(args.features, class1.dim)
         model = kliep.fit(class1, class0, fmap, weighting)
-        phi0_for_n = weighting.phi0 if isinstance(weighting, Mnar) else None
-        if mode == "cckliep":
-            class0 = class0.restrict(class0.observed_rows())
         model = model.with_normalizer(
-            kliep.normalizing_constant(model, class0, phi0_for_n)
+            kliep.normalizing_constant(model, class0, weighting)
         )
     if args.strict and not model.converged:
         raise NumericError("fit did not converge (strict mode)")
@@ -135,12 +179,6 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_np_calibrate(args) -> int:
-    _merge_config(
-        args,
-        {"model": str, "calibration": str, "data": str, "out": str, "alpha": float,
-         "delta": float, "rule": str, "phi0": str, "split": float, "seed": int,
-         "missing_token": str, "label_column": str},
-    )
     _require(args, "model", "out", "alpha", "delta")
     if args.calibration is None and (args.data is None or args.split is None):
         raise _UsageError(
@@ -184,10 +222,6 @@ def _cmd_np_calibrate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _merge_config(
-        args, {"classifier": str, "data": str, "out": str, "missing_token": str,
-               "label_column": str},
-    )
     _require(args, "classifier", "data", "out")
     with open(args.classifier) as fh:
         clf = dataio.classifier_from_text(fh.read())
@@ -215,10 +249,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_learn_phi(args) -> int:
-    _merge_config(
-        args, {"data": str, "latent": str, "queries": int, "seed": int, "out": str,
-               "class_label": int, "missing_token": str, "label_column": str},
-    )
     _require(args, "data", "latent", "queries", "out")
     label = 1 if args.class_label is None else args.class_label
     corrupted = dataio.read_dataset_csv(
@@ -235,19 +265,13 @@ def _cmd_learn_phi(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
-    _merge_config(
-        args, {"data": str, "out": str, "phi": str, "preset": str,
-               "target_proportion": float, "classes": str, "seed": int,
-               "missing_token": str, "label_column": str},
-    )
     _require(args, "data", "out")
     class0, class1 = dataio.read_dataset_csv(
         args.data, args.missing_token or "NA", args.label_column or "label"
     )
     rng = np.random.default_rng(args.seed or 0)
-    targets = [int(c) for c in (args.classes or "1").split(",")]
     by_label = {0: class0, 1: class1}
-    for label in targets:
+    for label in args.classes or (1,):
         ds = by_label[label]
         if args.preset == "paper-rwe":
             phi = dataio.rwe_preset(ds, rng)
@@ -272,24 +296,7 @@ def _cmd_corrupt(args) -> int:
     return 0
 
 
-def _parse_trim(specs: list[str] | None) -> dict[int, tuple[float, float]]:
-    trim = {}
-    for spec in specs or []:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise _UsageError(f"trim spec {spec!r} must be column:lo:hi (use 'none')")
-        j = int(parts[0])
-        lo = -float("inf") if parts[1] == "none" else float(parts[1])
-        hi = float("inf") if parts[2] == "none" else float(parts[2])
-        trim[j] = (lo, hi)
-    return trim
-
-
 def _cmd_preprocess(args) -> int:
-    _merge_config(
-        args, {"data": str, "out": str, "normalize": bool, "impute": bool,
-               "missing_token": str, "label_column": str},
-    )
     _require(args, "data", "out")
     class0, class1 = dataio.read_dataset_csv(
         args.data, args.missing_token or "NA", args.label_column or "label"
@@ -299,9 +306,9 @@ def _cmd_preprocess(args) -> int:
     class0, class1, _rec = dataio.preprocess(
         class0,
         class1,
-        trim=_parse_trim(args.trim),
-        mean_impute=bool(args.impute),
-        normalize=bool(args.normalize),
+        trim=dict(args.trim or ()),
+        mean_impute=args.impute,
+        normalize=args.normalize,
     )
     dataio.write_dataset_csv(
         args.out, class0, class1, args.missing_token or "NA",
@@ -312,13 +319,6 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    _merge_config(
-        args,
-        {"scenario": str, "n": str, "rho": str, "reps": int, "seed": int,
-         "out": str, "estimators": str, "alpha": float, "delta": float,
-         "n_test": int, "n_type1": int, "calibration_n": int, "rule": str,
-         "corrupt_class": int, "queries": int, "workers": int},
-    )
     _require(args, "scenario", "out", "n")
     # Unset flags take the defaults of the experiment config dataclasses.
     keys = ["reps", "seed", "corrupt_class", "workers"]
@@ -327,24 +327,27 @@ def _cmd_experiment(args) -> int:
     given = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
     if args.estimators:
         given["estimators"] = tuple(args.estimators.split(","))
-    ns = _parse_int_list(args.n)
+    rhos = args.rho or ()
+    if args.kind == "rho-sweep":
+        if not rhos:
+            raise _UsageError("rho-sweep needs --rho with a comma-separated list")
+        rho = 0.0
+    else:
+        if len(rhos) > 1:
+            raise _UsageError(f"experiment {args.kind} takes one --rho value")
+        rho, rhos = (rhos[0] if rhos else 0.0), None
     if args.kind == "msd":
-        rho = float(args.rho) if args.rho else 0.0
-        cfg = experiments.MsdConfig(scenario=args.scenario, ns=ns, rho=rho, **given)
+        cfg = experiments.MsdConfig(
+            scenario=args.scenario, ns=args.n, rho=rho, **given
+        )
         run = experiments.run_msd_experiment
-    elif args.kind in ("power", "rho-sweep"):
+    else:
         if args.rule:
             given["threshold_rule"] = args.rule
-        rhos = _parse_float_list(args.rho) if args.kind == "rho-sweep" else None
-        if args.kind == "rho-sweep" and not rhos:
-            raise _UsageError("rho-sweep needs --rho with a comma-separated list")
-        rho = float(args.rho) if (args.rho and args.kind == "power") else 0.0
         cfg = experiments.PowerConfig(
-            scenario=args.scenario, ns=ns, rhos=rhos, rho=rho, **given
+            scenario=args.scenario, ns=args.n, rhos=rhos, rho=rho, **given
         )
         run = experiments.run_power_experiment
-    else:
-        raise _UsageError(f"unknown experiment kind {args.kind!r}")
     rows = run(cfg)
     # The worker count does not change results, so it stays out of the hash.
     settings = dataclasses.asdict(cfg)
@@ -362,7 +365,6 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_emit_plot_data(args) -> int:
-    _merge_config(args, {"table": str, "out": str})
     _require(args, "table", "out")
     rows, meta = dataio.read_table_csv(args.table)
     out_rows = []
@@ -394,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, func):
+        p.set_defaults(func=func, command_parser=p)
         p.add_argument("--config", help="key = value config file; flags override")
         p.add_argument("--missing-token", dest="missing_token")
         p.add_argument("--label-column", dest="label_column")
@@ -402,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="treat non-convergence as a failure (exit 4)")
 
     p = sub.add_parser("fit", help="fit a density ratio model")
-    common(p)
+    common(p, _cmd_fit)
     p.add_argument("--data")
     p.add_argument("--out")
     p.add_argument("--mode", choices=["mkliep", "cckliep", "kliep"])
@@ -411,10 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi0", help="class-0 missingness file (mkliep)")
     p.add_argument("--per-dim", dest="per_dim", action="store_true",
                    help="factorized per-dimension fit (handles partial missingness)")
-    p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("np-calibrate", help="select a classification threshold")
-    common(p)
+    common(p, _cmd_np_calibrate)
     p.add_argument("--model")
     p.add_argument("--calibration", help="class-0 calibration CSV (distinct file)")
     p.add_argument("--data", help="with --split: file to split for calibration")
@@ -426,27 +428,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=["auto", "binomial", "missing"])
     p.add_argument("--phi0", help="class-0 missingness file")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_np_calibrate)
 
     p = sub.add_parser("classify", help="label points with a calibrated classifier")
-    common(p)
+    common(p, _cmd_classify)
     p.add_argument("--classifier")
     p.add_argument("--data")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("learn-phi", help="learn missingness from queried samples")
-    common(p)
+    common(p, _cmd_learn_phi)
     p.add_argument("--data", help="corrupted CSV")
     p.add_argument("--latent", help="CSV with the true values")
     p.add_argument("--queries", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--class-label", dest="class_label", type=int, choices=[0, 1])
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_learn_phi)
 
     p = sub.add_parser("corrupt", help="induce synthetic MNAR missingness")
-    common(p)
+    common(p, _cmd_corrupt)
     p.add_argument("--data")
     p.add_argument("--out")
     p.add_argument("--phi", help="missingness file to apply")
@@ -454,27 +453,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="standardized per-feature logistic with random tails")
     p.add_argument("--target-proportion", dest="target_proportion", type=float,
                    help="solve the logistic intercept for this missing fraction")
-    p.add_argument("--classes", help="comma list of class labels to corrupt "
+    p.add_argument("--classes", type=_class_labels,
+                   help="comma list of class labels to corrupt "
                    "(default: 1, the non-error-controlled class)")
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("preprocess", help="trim / impute / normalize")
-    common(p)
+    common(p, _cmd_preprocess)
     p.add_argument("--data")
     p.add_argument("--out")
-    p.add_argument("--normalize", action="store_true", default=None)
-    p.add_argument("--impute", action="store_true", default=None)
-    p.add_argument("--trim", action="append", help="column:lo:hi ('none' to skip a side)")
+    p.add_argument("--normalize", action="store_true")
+    p.add_argument("--impute", action="store_true")
+    p.add_argument("--trim", action="append", type=_trim_spec,
+                   help="column:lo:hi ('none' to skip a side)")
     p.add_argument("--apply-transform", dest="apply_transform")
-    p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("experiment", help="run a replication study")
-    common(p)
+    common(p, _cmd_experiment)
     p.add_argument("kind", choices=["msd", "power", "rho-sweep"])
     p.add_argument("--scenario")
-    p.add_argument("--n", help="comma list of per-class sample sizes")
-    p.add_argument("--rho", help="scenario parameter (comma list for rho-sweep)")
+    p.add_argument("--n", type=_int_list, help="comma list of per-class sample sizes")
+    p.add_argument("--rho", type=_float_list,
+                   help="scenario parameter (comma list for rho-sweep)")
     p.add_argument("--reps", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--estimators", help="comma list")
@@ -488,13 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("emit-plot-data", help="tidy a table for plotting")
-    common(p)
+    common(p, _cmd_emit_plot_data)
     p.add_argument("--table")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_emit_plot_data)
 
     return parser
 
@@ -506,6 +504,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        _merge_config(args, args.command_parser)
         return args.func(args)
     except (_UsageError, experiments.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

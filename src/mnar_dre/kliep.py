@@ -1,13 +1,14 @@
-"""KLIEP-family density ratio estimation under the log-linear model.
+"""KLIEP density ratio estimation under the log-linear model.
 
-Three weighting modes share one objective code path:
+Three weighting modes resolve each class into rows, weights and a divisor
+(``class_terms``), and every fit and normalizer reads them from there:
 
 * fully observed  -- all weights 1, divisors n1/n0 (requires complete data);
 * complete case   -- drop rows with missing coordinates, weights 1, divisors
                      equal to the observed counts (the naive estimator that
                      is biased under informative missingness);
 * MNAR            -- keep the divisors at n1/n0 and weight each observed row
-                     by 1/(1 - phi(x)), restoring consistency.
+                     by 1/(1 - phi(x)), restoring consistency (M-KLIEP).
 
 The fitted objective (negated, so it is minimized) is
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import logsumexp
@@ -58,12 +59,6 @@ class Mnar:
 
 
 WeightingMode = Union[str, Mnar]
-
-
-@dataclass(frozen=True, eq=False)
-class ObjectiveValue:
-    loss: float
-    gradient: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,52 +135,6 @@ class _KliepCore:
         return loss, grad, hess
 
 
-def sample_objective(
-    theta: np.ndarray,
-    class1: Dataset,
-    class0: Dataset,
-    fmap: FeatureMap,
-    mode: WeightingMode = FULLY_OBSERVED,
-) -> ObjectiveValue:
-    """Negated sample objective and its exact gradient at ``theta``."""
-    core = _KliepCore(
-        class_terms(class1, fmap, mode, 1), class_terms(class0, fmap, mode, 0)
-    )
-    loss, grad, _ = core.loss_grad_hess(np.asarray(theta, dtype=float))
-    return ObjectiveValue(loss=loss, gradient=grad)
-
-
-def _fit_log_linear(
-    class1: Dataset,
-    class0: Dataset,
-    fmap: FeatureMap,
-    mode: WeightingMode,
-    make_core: Callable,
-) -> LogLinearRatioModel:
-    """Fit body shared by the KLIEP and f-divergence estimators.
-
-    ``make_core`` turns the two classes' terms into an object whose
-    ``loss_grad_hess`` is minimized by Newton's method from theta = 0.
-    """
-    t1 = class_terms(class1, fmap, mode, 1)
-    t0 = class_terms(class0, fmap, mode, 0)
-    # Theorem-level assumption Var(f(Z^0)) > 0; warn, never fail.  The KLIEP
-    # Hessian at theta = 0 is the weighted covariance of the class-0 features.
-    cov = _KliepCore(t1, t0).loss_grad_hess(np.zeros(fmap.output_dim))[2]
-    if np.linalg.eigvalsh(cov).min() <= 1e-12:
-        warnings.warn(
-            "class-0 feature second-moment matrix is (near-)degenerate; the "
-            "fit may be ill-conditioned",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    core = make_core(t1, t0)
-    result = gradient_descent(core.loss_grad_hess, np.zeros(fmap.output_dim))
-    return LogLinearRatioModel(
-        theta=result.theta, feature_map=fmap, converged=result.converged
-    )
-
-
 def fit(
     class1: Dataset,
     class0: Dataset,
@@ -193,42 +142,42 @@ def fit(
     mode: WeightingMode = FULLY_OBSERVED,
 ) -> LogLinearRatioModel:
     """Fit the log-linear ratio model under weighting ``mode`` by damped
-    Newton (``optimize.newton``).
+    Newton (``optimize.newton``) from theta = 0.
 
     Returns the model with ``converged=False`` when the gradient norm did not
     reach ``optimize.GRAD_TOL`` (small samples can put the optimum at
     infinity, e.g. a constant class-0 feature); the normalizer is left unset.
     An unknown mode raises ``ValueError``.
     """
-    return _fit_log_linear(class1, class0, fmap, mode, _KliepCore)
+    core = _KliepCore(
+        class_terms(class1, fmap, mode, 1), class_terms(class0, fmap, mode, 0)
+    )
+    theta0 = np.zeros(fmap.output_dim)
+    # Theorem-level assumption Var(f(Z^0)) > 0; warn, never fail.  The
+    # Hessian at theta = 0 is the weighted covariance of the class-0 features.
+    if np.linalg.eigvalsh(core.loss_grad_hess(theta0)[2]).min() <= 1e-12:
+        warnings.warn(
+            "class-0 feature second-moment matrix is (near-)degenerate; the "
+            "fit may be ill-conditioned",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    result = gradient_descent(core.loss_grad_hess, theta0)
+    return LogLinearRatioModel(
+        theta=result.theta, feature_map=fmap, converged=result.converged
+    )
 
 
 def normalizing_constant(
-    model: LogLinearRatioModel,
-    class0: Dataset,
-    phi0: MissingnessFunction | None = None,
+    model: LogLinearRatioModel, class0: Dataset, mode: WeightingMode
 ) -> float:
-    """Estimate N = E[r(Z^0)] as (1/n0) sum_i w_i r(x0_i).
+    """Estimate N = E[r(Z^0)] as (1/divisor) sum_i w_i r(x0_i) over the
+    class-0 rows, weights and divisor of weighting ``mode``.
 
-    Weights are 1 on fully observed data (``phi0=None``) and importance
-    weights under MNAR.  Attach the value with ``model.with_normalizer``.
+    Attach the value with ``model.with_normalizer``.
     """
-    if phi0 is None:
-        if not class0.fully_observed:
-            raise DataError(
-                "normalizing constant without a missingness function requires "
-                "fully observed class-0 data"
-            )
-        w = np.ones(class0.n)
-        feats = model.feature_map(class0.values)
-    else:
-        w = point_importance_weights(class0.values, phi0)
-        keep = w > 0.0
-        if not keep.any():
-            raise NumericError("all class-0 weights are zero")
-        w = w[keep]
-        feats = model.feature_map(class0.values[keep])
-    s = feats @ model.theta
+    t0 = class_terms(class0, model.feature_map, mode, 0)
+    s = t0.features @ model.theta
     # exp can overflow for extreme theta; go through log space.
-    log_n = logsumexp(s, b=w) - np.log(class0.n)
+    log_n = logsumexp(s, b=t0.weights) - np.log(t0.divisor)
     return float(np.exp(log_n))

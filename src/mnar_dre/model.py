@@ -338,9 +338,6 @@ class Dataset:
     def column(self, j: int) -> np.ndarray:
         return self.values[:, j]
 
-    def restrict(self, mask: np.ndarray) -> "Dataset":
-        return Dataset(self.values[mask], self.label)
-
 
 # ---------------------------------------------------------------------------
 # Feature maps and the log-linear ratio model

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kliep
-from .kliep import COMPLETE_CASE, FULLY_OBSERVED, Mnar, WeightingMode
+from .kliep import FULLY_OBSERVED, Mnar, WeightingMode
 from .model import Dataset, FeatureMap, LogLinearRatioModel, MissingnessFunction
 
 
@@ -41,25 +41,22 @@ class NaiveBayesRatioModel:
         return all(m.converged for m in self.per_dim)
 
     def log_ratio(self, z: np.ndarray) -> np.ndarray:
-        return evaluate_log_ratio(self, z)
+        """Sum of per-dimension log ratios at fully observed points.
 
-
-def evaluate_log_ratio(model: NaiveBayesRatioModel, z: np.ndarray) -> np.ndarray:
-    """Sum of per-dimension log ratios at fully observed points.
-
-    Includes each dimension's -log(normalizer) when set.  Points with missing
-    coordinates are refused: downstream classification assigns missing
-    calibration points -inf separately, and test points are fully observed.
-    """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    if z.shape[1] != model.dim:
-        raise ValueError(f"expected dimension {model.dim}, got {z.shape[1]}")
-    if np.isnan(z).any():
-        raise ValueError("naive-Bayes evaluation requires full observation")
-    total = np.zeros(z.shape[0])
-    for j, sub in enumerate(model.per_dim):
-        total += sub.log_ratio(z[:, j : j + 1])
-    return total
+        Includes each dimension's -log(normalizer) when set.  Points with
+        missing coordinates are refused: downstream classification assigns
+        missing calibration points -inf separately, and test points are fully
+        observed.
+        """
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+        if z.shape[1] != self.dim:
+            raise ValueError(f"expected dimension {self.dim}, got {z.shape[1]}")
+        if np.isnan(z).any():
+            raise ValueError("naive-Bayes evaluation requires full observation")
+        total = np.zeros(z.shape[0])
+        for j, sub in enumerate(self.per_dim):
+            total += sub.log_ratio(z[:, j : j + 1])
+        return total
 
 
 def _slice_mode(mode, j: int):
@@ -100,11 +97,7 @@ def fit_naive_bayes(
         try:
             sub = kliep.fit(d1, d0, fmap, sub_mode)
             if set_normalizers:
-                phi0 = sub_mode.phi0 if isinstance(sub_mode, Mnar) else None
-                if phi0 is None and sub_mode == COMPLETE_CASE:
-                    mask = ~np.isnan(d0.values[:, 0])
-                    d0 = d0.restrict(mask)
-                sub = sub.with_normalizer(kliep.normalizing_constant(sub, d0, phi0))
+                sub = sub.with_normalizer(kliep.normalizing_constant(sub, d0, sub_mode))
         except Exception as exc:
             raise type(exc)(f"dimension {j}: {exc}") from exc
         models.append(sub)

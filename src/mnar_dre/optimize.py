@@ -1,8 +1,8 @@
 """Damped Newton method for the package's smooth convex fits.
 
-KLIEP, its KL/JS f-divergence variants (through ``kliep``) and the
-query-corrected logistic missingness model (``missingness``) all minimize a
-smooth convex function of d <= 10 parameters with a cheap exact Hessian.
+KLIEP under each weighting mode (``kliep``) and the query-corrected logistic
+missingness model (``missingness``) both minimize a smooth convex function of
+d <= 10 parameters with a cheap exact Hessian.
 Each step solves ``hess @ step = grad`` by least squares and backtracks from
 the full step until the Armijo condition holds.  The loop is plain: fixed
 evaluation order, no randomness, so a fit is bit-reproducible for a given

@@ -18,9 +18,6 @@ PACKAGE_DIR = Path(mnar_dre.__file__).parent
 ALLOWED_UNUSED = {
     "population_theta_plugin": "simulation cross-check of the exact population oracle",
     "Tabulated": "callable-backed missingness for tests and user-defined phi",
-    "sample_objective": "KLIEP objective and gradient at a given theta, a test oracle",
-    "fdiv_objective": "f-divergence objective and gradient, a test oracle",
-    "fdiv_fit": "f-divergence estimator that no CLI command reaches yet",
 }
 
 

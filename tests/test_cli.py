@@ -252,6 +252,73 @@ class TestExperimentConfig:
         assert not out.exists()
 
 
+class TestFlagValues:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("experiment", "msd", "--scenario", "gauss5d", "--n", "abc"), "--n"),
+            (("experiment", "power", "--scenario", "nb-rho", "--n", "50",
+              "--rho", "x"), "--rho"),
+            (("corrupt", "--classes", "x"), "--classes"),
+            (("corrupt", "--classes", "2"), "--classes"),
+            (("corrupt", "--classes", "1,1"), "--classes"),
+            (("preprocess", "--trim", "a:b:c"), "--trim"),
+        ],
+    )
+    def test_bad_flag_value_exits_2(self, files, argv, flag, capsys):
+        out = files["dir"] / "unused-out.csv"
+        rc = cli.main([*argv, "--data", files["latent"], "--out", str(out)])
+        assert rc == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConfigFile:
+    def _config(self, files, name, text):
+        path = files["dir"] / f"{name}.cfg"
+        path.write_text(text)
+        return str(path)
+
+    def test_store_true_false_leaves_the_flag_off(self, files):
+        d = files["dir"]
+        cfg = self._config(files, "no-normalize", "normalize = false\n")
+        runs = {"config": ["--config", cfg], "plain": [], "normalized": ["--normalize"]}
+        out = {}
+        for name, extra in runs.items():
+            path = d / f"pre-{name}.csv"
+            assert cli.main(["preprocess", "--data", files["latent"], "--out",
+                             str(path), *extra]) == 0
+            out[name] = path.read_bytes()
+        assert out["config"] == out["plain"] != out["normalized"]
+
+    def test_store_true_true_sets_a_false_default_flag(self, files):
+        d = files["dir"]
+        cfg = self._config(files, "per-dim", "per-dim = true\n")
+        fit = ["fit", "--mode", "kliep", "--data", files["latent"]]
+        assert cli.main([*fit, "--config", cfg, "--out", str(d / "cfg-nb.txt")]) == 0
+        assert cli.main([*fit, "--per-dim", "--out", str(d / "flag-nb.txt")]) == 0
+        assert (d / "cfg-nb.txt").read_bytes() == (d / "flag-nb.txt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (("np-calibrate", "--alpha", "0.2", "--delta", "0.2"), "rule = bogus"),
+            (("experiment", "power", "--scenario", "gauss5d", "--n", "50"),
+             "rule = bogus"),
+            (("experiment", "msd", "--scenario", "gauss5d"), "n = abc"),
+            (("preprocess", "--data", "unused.csv"), "impute = yes"),
+        ],
+    )
+    def test_bad_config_value_exits_2(self, files, argv, text, capsys):
+        # The config file is read before any input file, so the value alone
+        # decides the exit code.
+        cfg = self._config(files, "bad", text + "\n")
+        out = files["dir"] / "unused-out.txt"
+        assert cli.main([*argv, "--config", cfg, "--out", str(out)]) == 2
+        assert f"config key {text.split(' = ')[0]!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_strict_fit_on_well_posed_data_exits_0(tmp_path):
     # A fully observed, well-posed sample: the fit must converge, so --strict
     # writes the model and exits 0.

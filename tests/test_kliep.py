@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,10 @@ from mnar_dre.kliep import (
     COMPLETE_CASE,
     FULLY_OBSERVED,
     Mnar,
+    _KliepCore,
+    class_terms,
     fit,
     normalizing_constant,
-    sample_objective,
 )
 from mnar_dre.model import (
     ConstantProb,
@@ -15,11 +18,21 @@ from mnar_dre.model import (
     Dataset,
     FeatureMap,
     HalfspaceIndicator,
+    LogLinearRatioModel,
     MissingnessFunction,
     NumericError,
     Tabulated,
     Zero,
 )
+
+
+def sample_objective(theta, class1, class0, fmap, mode):
+    """Negated sample objective and its gradient at ``theta``."""
+    core = _KliepCore(
+        class_terms(class1, fmap, mode, 1), class_terms(class0, fmap, mode, 0)
+    )
+    loss, gradient, _ = core.loss_grad_hess(np.asarray(theta, dtype=float))
+    return SimpleNamespace(loss=loss, gradient=gradient)
 
 
 def _gaussian_pair(rng, n, mu1=0.5, d=1):
@@ -206,17 +219,13 @@ class TestFit:
 
 class TestNormalizingConstant:
     def test_theta_zero_no_missingness_exactly_one(self):
-        from mnar_dre.model import LogLinearRatioModel
-
         d0 = Dataset(np.random.default_rng(31).normal(size=(57, 2)), 0)
         model_zero = LogLinearRatioModel(np.zeros(2), FeatureMap.identity(2))
-        assert normalizing_constant(model_zero, d0) == 1.0
+        assert normalizing_constant(model_zero, d0, FULLY_OBSERVED) == 1.0
 
     def test_two_atom_enumeration(self):
         # Z0 on {-1, 2} with P(-1)=0.3; phi(-1)=0.6, phi(2)=0.2; theta = 0.7.
         # E[N-hat] = E[w * r(X)] = sum_z p(z) r(z) = E[r(Z0)] exactly.
-        from mnar_dre.model import LogLinearRatioModel
-
         theta = 0.7
         model = LogLinearRatioModel(np.array([theta]), FeatureMap.identity(1))
         atoms, probs, phis = [-1.0, 2.0], [0.3, 0.7], [0.6, 0.2]
@@ -224,10 +233,11 @@ class TestNormalizingConstant:
         phi_fn = MissingnessFunction.per_coordinate(
             [Tabulated(fn=lambda x: np.where(x < 0, 0.6, 0.2))]
         )
+        mode = Mnar(phi_fn, phi_fn)
         total = 0.0
         for z, p, phi in zip(atoms, probs, phis):
             observed = Dataset(np.array([[z]]), 0)
-            total += p * (1.0 - phi) * normalizing_constant(model, observed, phi_fn)
+            total += p * (1.0 - phi) * normalizing_constant(model, observed, mode)
             # the missing outcome contributes n-hat = 0 (all weights zero is
             # an error for a whole sample; its expectation contribution is 0)
         assert total == pytest.approx(target, abs=1e-12)
@@ -236,7 +246,7 @@ class TestNormalizingConstant:
         rng = np.random.default_rng(32)
         d1, d0 = _gaussian_pair(rng, 100_000, mu1=0.5)
         model = fit(d1, d0, FeatureMap.identity(1))
-        nhat = normalizing_constant(model, d0)
+        nhat = normalizing_constant(model, d0, FULLY_OBSERVED)
         theta = model.theta[0]
         target = np.exp(theta**2 / 2.0)  # E exp(theta Z), Z ~ N(0,1)
         r_vals = np.exp(theta * d0.values[:, 0])
@@ -245,32 +255,54 @@ class TestNormalizingConstant:
 
     def test_weighted_version(self):
         rng = np.random.default_rng(33)
-        from mnar_dre.model import LogLinearRatioModel
-
         model = LogLinearRatioModel(np.array([0.4]), FeatureMap.identity(1))
         z0 = rng.normal(size=(50_000, 1))
         phi0 = MissingnessFunction.per_coordinate([ConstantProb(0.5)])
         x0 = phi0.corrupt(z0, rng)
-        nhat = normalizing_constant(model, Dataset(x0, 0), phi0)
+        nhat = normalizing_constant(model, Dataset(x0, 0), Mnar(phi0, phi0))
         assert nhat == pytest.approx(np.exp(0.08), abs=0.03)
 
-    def test_all_missing_errors(self):
-        from mnar_dre.model import LogLinearRatioModel
+    def test_complete_case_equals_fully_observed_on_complete_rows(self):
+        rng = np.random.default_rng(35)
+        z0 = rng.normal(size=(500, 2))
+        phi = MissingnessFunction.whole_point(
+            HalfspaceIndicator(direction=np.ones(2), level=0.0, p=0.5)
+        )
+        d0 = Dataset(phi.corrupt(z0, rng), 0)
+        assert not d0.fully_observed
+        model = LogLinearRatioModel(np.array([0.3, -0.6]), FeatureMap.identity(2))
+        complete = Dataset(d0.values[d0.observed_rows()], 0)
+        assert normalizing_constant(model, d0, COMPLETE_CASE) == normalizing_constant(
+            model, complete, FULLY_OBSERVED
+        )
 
+    def test_complete_case_per_dimension_equals_fully_observed_on_complete_rows(self):
+        from mnar_dre.naive_bayes import fit_naive_bayes
+
+        rng = np.random.default_rng(36)
+        phi = MissingnessFunction.per_coordinate(
+            [HalfspaceIndicator(direction=np.array([1.0]), level=0.0, p=0.4)] * 2
+        )
+        d1 = Dataset(phi.corrupt(rng.normal(0.5, 1.0, size=(400, 2)), rng), 1)
+        d0 = Dataset(phi.corrupt(rng.normal(size=(400, 2)), rng), 0)
+        nb = fit_naive_bayes(d1, d0, COMPLETE_CASE)
+        for j, sub in enumerate(nb.per_dim):
+            col = d0.values[:, j : j + 1]
+            complete = Dataset(col[~np.isnan(col[:, 0])], 0)
+            assert sub.normalizer == normalizing_constant(sub, complete, FULLY_OBSERVED)
+
+    def test_all_missing_errors(self):
         model = LogLinearRatioModel(np.zeros(1), FeatureMap.identity(1))
         d0 = Dataset(np.full((4, 1), np.nan), 0)
+        phi = MissingnessFunction.per_coordinate([Zero()])
         with pytest.raises(NumericError):
-            normalizing_constant(
-                model, d0, MissingnessFunction.per_coordinate([Zero()])
-            )
+            normalizing_constant(model, d0, Mnar(phi, phi))
 
     def test_missing_without_phi_rejected(self):
-        from mnar_dre.model import LogLinearRatioModel
-
         model = LogLinearRatioModel(np.zeros(1), FeatureMap.identity(1))
         d0 = Dataset(np.array([[1.0], [np.nan]]), 0)
         with pytest.raises(DataError):
-            normalizing_constant(model, d0, None)
+            normalizing_constant(model, d0, FULLY_OBSERVED)
 
 
 class TestConfigValidation:

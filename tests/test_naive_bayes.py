@@ -12,11 +12,7 @@ from mnar_dre.model import (
     NumericError,
     Zero,
 )
-from mnar_dre.naive_bayes import (
-    NaiveBayesRatioModel,
-    evaluate_log_ratio,
-    fit_naive_bayes,
-)
+from mnar_dre.naive_bayes import NaiveBayesRatioModel, fit_naive_bayes
 
 
 def _per_dim_phi(d=2, p=0.5):
@@ -38,27 +34,25 @@ def _model(thetas, normalizers=None):
 class TestEvaluate:
     def test_zero_models_give_zero(self):
         m = _model([0.0, 0.0])
-        assert evaluate_log_ratio(m, np.array([[5.0, -3.0]])) == pytest.approx([0.0])
+        assert m.log_ratio(np.array([[5.0, -3.0]])) == pytest.approx([0.0])
 
     def test_hand_arithmetic(self):
         m = _model([1.0, 2.0])
-        assert evaluate_log_ratio(m, np.array([[3.0, 4.0]])) == pytest.approx([11.0])
+        assert m.log_ratio(np.array([[3.0, 4.0]])) == pytest.approx([11.0])
 
     def test_permutation_symmetry(self):
         rng = np.random.default_rng(0)
         thetas = [0.3, -1.2, 0.7]
         z = rng.normal(size=(20, 3))
         perm = [2, 0, 1]
-        a = evaluate_log_ratio(_model(thetas), z)
-        b = evaluate_log_ratio(
-            _model([thetas[j] for j in perm]), z[:, perm]
-        )
+        a = _model(thetas).log_ratio(z)
+        b = _model([thetas[j] for j in perm]).log_ratio(z[:, perm])
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_missing_coordinate_refused(self):
         m = _model([1.0, 2.0])
         with pytest.raises(ValueError, match="full observation"):
-            evaluate_log_ratio(m, np.array([[1.0, np.nan]]))
+            m.log_ratio(np.array([[1.0, np.nan]]))
 
     def test_product_sum_identity(self):
         rng = np.random.default_rng(1)
@@ -67,11 +61,11 @@ class TestEvaluate:
         prod = np.ones(50)
         for j, sub in enumerate(m.per_dim):
             prod *= sub.ratio(z[:, j : j + 1])
-        assert np.exp(evaluate_log_ratio(m, z)) == pytest.approx(prod, rel=1e-10)
+        assert np.exp(m.log_ratio(z)) == pytest.approx(prod, rel=1e-10)
 
     def test_normalizers_subtract_logs(self):
         m = _model([0.0, 0.0], normalizers=[np.e, np.e])
-        out = evaluate_log_ratio(m, np.array([[1.0, 1.0]]))
+        out = m.log_ratio(np.array([[1.0, 1.0]]))
         assert out == pytest.approx([-2.0])
 
 
