@@ -29,7 +29,9 @@ from . import __version__, dataio, experiments, kliep, naive_bayes
 from .kliep import COMPLETE_CASE, FULLY_OBSERVED, Mnar
 from .missingness import learn_missingness
 from .model import Dataset, DataError, FeatureMap, MissingnessFunction, NumericError
-from .np_classify import build_np_classifier, classify as np_classify_points
+from .np_classify import build_np_classifier, labels_from_scores
+# Unused here; benchmarks/tracing.py wraps the classify step under this name.
+from .np_classify import classify as np_classify_points  # noqa: F401
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -228,7 +230,7 @@ def _cmd_classify(args) -> int:
     class0, class1 = dataio.read_dataset_csv(
         args.data, args.missing_token or "NA", args.label_column or "label"
     )
-    rows = []
+    classified = []
     for ds in (class0, class1):
         if not ds.fully_observed:
             raise DataError(
@@ -236,15 +238,9 @@ def _cmd_classify(args) -> int:
                 "observed points"
             )
         scores = clf.score_fn(ds.values)
-        labels = np_classify_points(clf, ds.values)
-        for truth, score, label in zip(
-            np.full(ds.n, ds.label), scores, labels
-        ):
-            rows.append(
-                {"true_label": int(truth), "score": float(score), "label": int(label)}
-            )
-    dataio.write_table_csv(args.out, rows, meta={"classifier": args.classifier})
-    print(f"wrote {len(rows)} labels to {args.out}")
+        classified.append((ds.label, scores, labels_from_scores(scores, clf.threshold)))
+    dataio.write_labels_csv(args.out, classified, meta={"classifier": args.classifier})
+    print(f"wrote {class0.n + class1.n} labels to {args.out}")
     return 0
 
 
@@ -401,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value config file; flags override")
         p.add_argument("--missing-token", dest="missing_token")
         p.add_argument("--label-column", dest="label_column")
-        p.add_argument("--strict", action="store_true",
-                       help="treat non-convergence as a failure (exit 4)")
 
     p = sub.add_parser("fit", help="fit a density ratio model")
     common(p, _cmd_fit)
@@ -414,6 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi0", help="class-0 missingness file (mkliep)")
     p.add_argument("--per-dim", dest="per_dim", action="store_true",
                    help="factorized per-dimension fit (handles partial missingness)")
+    p.add_argument("--strict", action="store_true",
+                   help="treat non-convergence as a failure (exit 4)")
 
     p = sub.add_parser("np-calibrate", help="select a classification threshold")
     common(p, _cmd_np_calibrate)

@@ -5,6 +5,12 @@ CSV is the single interchange format: a header row, numeric fields, a binary
 label column, and a configurable token (default "NA", empty fields allowed)
 for missing entries.  Floats are written with ``repr`` so round-trips are
 lossless.
+
+Tables (``write_table_csv`` and the ``classify`` output of
+``write_labels_csv``) start with a ``# key=value ...`` meta line ended by
+``\\n``, and their header and rows are ended by ``\\r\\n``, as ``csv.writer``
+ends them.  Both endings are kept so that tables stay byte-identical to the
+ones written before.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import warnings
@@ -38,6 +45,11 @@ from .np_classify import PAPER_MARGIN_CONSTANT, NpClassifier, ThresholdResult
 # CSV ingestion / emission
 # ---------------------------------------------------------------------------
 
+# Rows that ``read_dataset_csv`` parses at a time in bulk.
+_CSV_CHUNK_ROWS = 8192
+# Every byte but the field and row separators, to pull out a chunk's layout.
+_NOT_CSV_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
+
 
 def _parse_field(
     text: str, missing_token: str, allow_empty: bool, row_num: int, col: str
@@ -57,46 +69,126 @@ def _parse_field(
     return v
 
 
+def _read_rows(
+    reader, header: list[str], label_idx: int, missing_token: str, allow_empty: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the rows one at a time; raise the ``DataError`` of the first bad one."""
+    feature_cols = [(i, name) for i, name in enumerate(header) if i != label_idx]
+    rows0, rows1 = [], []
+    for row_num, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataError(
+                f"row {row_num}: expected {len(header)} fields, got {len(row)}"
+            )
+        label_text = row[label_idx].strip()
+        if label_text not in ("0", "1"):
+            raise DataError(
+                f"row {row_num}: label must be 0 or 1, got {label_text!r}"
+            )
+        values = [
+            _parse_field(row[i], missing_token, allow_empty, row_num, name)
+            for i, name in feature_cols
+        ]
+        (rows1 if label_text == "1" else rows0).append(values)
+    return np.array(rows0, dtype=float), np.array(rows1, dtype=float)
+
+
+def _read_rows_bulk(
+    fh, width: int, label_idx: int, missing_token: str, allow_empty: bool
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Parse the rows left in ``fh`` a chunk at a time, or return None at the
+    first chunk not in plain form.
+
+    Plain form: no quotes, ``\\n`` or ``\\r\\n`` line ends, ``width`` fields
+    per line and labels exactly ``0`` or ``1``.  Feature fields go through
+    Python's ``float``, as in ``_parse_field``.  Any field that ``_parse_field``
+    would read differently is caught: a token with whitespace around it fails
+    ``float`` or (for a numeric token) parses to the token's value, and a
+    literal ``nan`` or ``inf`` makes more non-finite values than there are
+    missing fields.
+    """
+    if missing_token != missing_token.strip():
+        return None  # _parse_field compares stripped text, which never matches
+    missing = dict.fromkeys(
+        [missing_token, ""] if allow_empty else [missing_token], math.nan
+    )
+    try:
+        token_value = float(missing_token)
+    except ValueError:
+        token_value = None
+    row_separators = b"," * (width - 1) + b"\n"
+    chunks0, chunks1 = [], []
+    while lines := list(itertools.islice(fh, _CSV_CHUNK_ROWS)):
+        text = "".join(lines).replace("\r\n", "\n")
+        if '"' in text or "\r" in text:
+            return None
+        if not text.endswith("\n"):
+            text += "\n"
+        separators = text.encode().translate(None, _NOT_CSV_SEPARATOR)
+        if separators != row_separators * len(lines):
+            return None
+        fields = text[:-1].replace("\n", ",").split(",")
+        labels = fields[label_idx::width]
+        if not {"0", "1"}.issuperset(labels):
+            return None
+        del fields[label_idx::width]
+        n_missing = sum(map(fields.count, missing))
+        if n_missing:
+            fields = list(map(missing.get, fields, fields))
+        try:
+            values = np.array(fields, dtype=float)
+        except ValueError:
+            return None
+        if np.count_nonzero(~np.isfinite(values)) != n_missing or (
+            token_value is not None and np.any(values == token_value)
+        ):
+            return None
+        values = values.reshape(len(lines), width - 1)
+        is1 = np.frombuffer("".join(labels).encode(), dtype=np.uint8) == ord("1")
+        chunks0.append(values[~is1])
+        chunks1.append(values[is1])
+    empty = [np.empty((0, width - 1))]
+    return np.concatenate(chunks0 or empty), np.concatenate(chunks1 or empty)
+
+
 def read_dataset_csv(
     path,
     missing_token: str = "NA",
     label_column: str = "label",
     allow_empty: bool = True,
 ) -> tuple[Dataset, Dataset]:
-    """Read a labelled CSV into a (class0, class1) dataset pair."""
+    """Read a labelled CSV into a (class0, class1) dataset pair.
+
+    The first row is a header that names ``label_column``.  Every other row
+    has one field per header name: a label ``0`` or ``1``, and feature fields
+    that are finite numbers, ``missing_token`` or, with ``allow_empty``,
+    empty; the last two read as NaN.  Whitespace around a field is ignored,
+    fields may be quoted, and line ends may be ``\\n``, ``\\r\\n`` or ``\\r``.
+
+    Rows are parsed in bulk, a chunk of rows at a time.  A file with quotes,
+    ``\\r`` line ends, whitespace around a label or token, or any bad row is
+    read again from the start by a row-by-row loop, which returns the same
+    arrays or raises the ``DataError`` that names the first bad row.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataError("empty CSV: a header row is required") from None
         header = [h.strip() for h in header]
         if label_column not in header:
             raise DataError(f"label column {label_column!r} not found in header")
         label_idx = header.index(label_column)
-        feature_cols = [(i, name) for i, name in enumerate(header) if i != label_idx]
-        rows0, rows1 = [], []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"row {row_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            label_text = row[label_idx].strip()
-            if label_text not in ("0", "1"):
-                raise DataError(
-                    f"row {row_num}: label must be 0 or 1, got {label_text!r}"
-                )
-            values = [
-                _parse_field(row[i], missing_token, allow_empty, row_num, name)
-                for i, name in feature_cols
-            ]
-            (rows1 if label_text == "1" else rows0).append(values)
-    if not rows0 or not rows1:
+        parts = _read_rows_bulk(fh, len(header), label_idx, missing_token, allow_empty)
+    if parts is None:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            parts = _read_rows(reader, header, label_idx, missing_token, allow_empty)
+    values0, values1 = parts
+    if not len(values0) or not len(values1):
         raise DataError("both classes must be present in the file")
-    return (
-        Dataset(np.array(rows0, dtype=float), 0),
-        Dataset(np.array(rows1, dtype=float), 1),
-    )
+    return Dataset(values0, 0), Dataset(values1, 1)
 
 
 def write_dataset_csv(
@@ -122,6 +214,11 @@ def write_dataset_csv(
                 )
 
 
+def _write_meta_line(fh, meta: dict) -> None:
+    items = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
+    fh.write(f"# {items}\n")
+
+
 def write_table_csv(path, rows: list[dict], meta: dict | None = None) -> None:
     """Write experiment rows with a leading comment line recording the config."""
     if not rows:
@@ -129,8 +226,7 @@ def write_table_csv(path, rows: list[dict], meta: dict | None = None) -> None:
     fieldnames = list(rows[0].keys())
     with open(path, "w", newline="") as fh:
         if meta is not None:
-            items = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-            fh.write(f"# {items}\n")
+            _write_meta_line(fh, meta)
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:
@@ -139,6 +235,24 @@ def write_table_csv(path, rows: list[dict], meta: dict | None = None) -> None:
                     k: (repr(float(v)) if isinstance(v, float) else v)
                     for k, v in row.items()
                 }
+            )
+
+
+def write_labels_csv(path, classified, meta: dict) -> None:
+    """Write ``classify`` output: the meta line, then one
+    ``true_label,score,label`` row per point, in the bytes that
+    ``write_table_csv`` writes for those rows.
+
+    ``classified`` holds one (true label, scores, labels) triple per class.
+    Rows are formatted as they are written, so no per-row object is kept.
+    """
+    with open(path, "w", newline="") as fh:
+        _write_meta_line(fh, meta)
+        fh.write("true_label,score,label\r\n")
+        for truth, scores, labels in classified:
+            fh.writelines(
+                f"{truth},{score!r},{label}\r\n"
+                for score, label in zip(scores.tolist(), labels.tolist())
             )
 
 

@@ -343,11 +343,21 @@ def build_np_classifier(
     )
 
 
+def labels_from_scores(scores: np.ndarray, threshold: float) -> np.ndarray:
+    """Labels 1 iff score > threshold (strict; ties go to class 0).  A +inf
+    threshold labels every point 0 and a -inf one labels every point 1,
+    whatever the scores."""
+    if threshold == math.inf:
+        return np.zeros(len(scores), dtype=int)
+    if threshold == -math.inf:
+        return np.ones(len(scores), dtype=int)
+    return (scores > threshold).astype(int)
+
+
 def classify(clf: NpClassifier, z: np.ndarray) -> np.ndarray:
-    """Labels 1 iff score(z) > threshold (strict; ties go to class 0)."""
+    """Labels of the points ``z`` by ``labels_from_scores``; an infinite
+    threshold fixes every label, so the points are then not scored."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    if clf.threshold == math.inf:
-        return np.zeros(z.shape[0], dtype=int)
-    if clf.threshold == -math.inf:
-        return np.ones(z.shape[0], dtype=int)
-    return (clf.score_fn(z) > clf.threshold).astype(int)
+    if math.isinf(clf.threshold):
+        return labels_from_scores(np.empty(z.shape[0]), clf.threshold)
+    return labels_from_scores(clf.score_fn(z), clf.threshold)

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from mnar_dre import cli, dataio
-from mnar_dre.model import Dataset, LogisticScalar, MissingnessFunction
+from mnar_dre.model import (
+    Dataset,
+    LogisticScalar,
+    LogLinearRatioModel,
+    MissingnessFunction,
+)
 from mnar_dre.scenarios import SCENARIO_NAMES, generate, make_scenario
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -317,6 +322,64 @@ class TestConfigFile:
         assert cli.main([*argv, "--config", cfg, "--out", str(out)]) == 2
         assert f"config key {text.split(' = ')[0]!r}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestStrictFlag:
+    """``--strict`` belongs to ``fit``, the only command that reads it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--classifier", "c.txt", "--data", "d.csv"),
+            ("experiment", "msd", "--scenario", "gauss5d", "--n", "50"),
+            ("np-calibrate", "--alpha", "0.2", "--delta", "0.2"),
+        ],
+    )
+    def test_strict_on_another_command_exits_2(self, files, argv):
+        out = files["dir"] / "strict-unused.txt"
+        assert cli.main([*argv, "--strict", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["classify", "np-calibrate", "experiment"])
+    def test_strict_config_key_on_another_command_exits_2(self, files, command, capsys):
+        cfg = files["dir"] / "strict.cfg"
+        cfg.write_text("strict = true\n")
+        argv = [command, "msd"] if command == "experiment" else [command]
+        out = files["dir"] / "strict-unused.txt"
+        assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown config keys: ['strict']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_strict_config_key_on_fit_is_read(self, files):
+        cfg = files["dir"] / "strict-fit.cfg"
+        cfg.write_text("strict = true\n")
+        out = files["dir"] / "strict-fit-model.txt"
+        assert cli.main(["fit", "--mode", "kliep", "--data", files["latent"],
+                         "--config", str(cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("per_dim", [False, True])
+def test_classify_scores_each_point_once(files, monkeypatch, per_dim):
+    d = files["dir"]
+    model, clf = d / f"once-model-{per_dim}.txt", d / f"once-clf-{per_dim}.txt"
+    fit = ["fit", "--mode", "kliep", "--data", files["latent"], "--out", str(model)]
+    assert cli.main(fit + ["--per-dim"] * per_dim) == 0
+    assert cli.main(["np-calibrate", "--model", str(model), "--calibration",
+                     files["cal"], "--alpha", "0.2", "--delta", "0.2",
+                     "--out", str(clf)]) == 0
+    scored = []
+    original = LogLinearRatioModel.log_ratio
+
+    def counting(self, z):
+        scored.append(len(z))
+        return original(self, z)
+
+    monkeypatch.setattr(LogLinearRatioModel, "log_ratio", counting)
+    out = d / f"once-labels-{per_dim}.csv"
+    assert cli.main(["classify", "--classifier", str(clf), "--data", files["test"],
+                     "--out", str(out)]) == 0
+    # 300 test points per class, scored once by each of the model's parts.
+    assert sum(scored) == 600 * (2 if per_dim else 1)
 
 
 def test_strict_fit_on_well_posed_data_exits_0(tmp_path):

@@ -1,0 +1,343 @@
+"""The CSV contract of ``dataio``: what ``read_dataset_csv`` accepts and the
+exact ``DataError`` it raises otherwise, checked case by case and against a
+``csv.reader`` oracle; and the bytes of ``classify`` output and experiment
+tables, checked against a ``csv.DictWriter`` oracle."""
+
+import csv
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from mnar_dre import cli, dataio, np_classify
+from mnar_dre.model import Dataset, DataError, FeatureMap, LogLinearRatioModel
+
+
+def _csv(tmp_path, text: str, name: str = "data.csv") -> str:
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    return str(path)
+
+
+def _reads_as(pair, want0, want1) -> bool:
+    """The class arrays equal the wanted rows, NaN matching NaN."""
+    return all(
+        np.array_equal(ds.values, np.array(want, dtype=float), equal_nan=True)
+        for ds, want in zip(pair, (want0, want1))
+    )
+
+
+# -- refused files -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b,label\n1,2,0\n3,1\n", "row 3: expected 3 fields, got 2"),
+        ("a,b,label\n1,2,0\n3,4,1,5\n", "row 3: expected 3 fields, got 4"),
+        ("a,label\n1,0\n\n2,1\n", "row 3: expected 2 fields, got 0"),
+        ("a,label\n1,0\n2,1.0\n", "row 3: label must be 0 or 1, got '1.0'"),
+        ("a,label\n1,0\n2,2\n", "row 3: label must be 0 or 1, got '2'"),
+        ("a,label\n1,0\n2,\n", "row 3: label must be 0 or 1, got ''"),
+        ("a,b,label\n1,2,0\n3,x,1\n",
+         "row 3: field 'b' is neither numeric nor the missing token 'NA': 'x'"),
+        ("a,label\n1,0\n NA x,1\n",
+         "row 3: field 'a' is neither numeric nor the missing token 'NA': ' NA x'"),
+        ("a,label\n1,0\nnan,1\n", "row 3: field 'a' must be finite, got 'nan'"),
+        ("a,label\n1,0\n-inf,1\n", "row 3: field 'a' must be finite, got '-inf'"),
+        ("a,label\n1,0\n1e500,1\n", "row 3: field 'a' must be finite, got '1e500'"),
+        ("a,label\n", "both classes must be present in the file"),
+        ("a,label\n1,0\n2,0\n", "both classes must be present in the file"),
+        ("a,b\n1,0\n", "label column 'label' not found in header"),
+        ("", "empty CSV: a header row is required"),
+    ],
+)
+def test_refused_file_raises_its_message(tmp_path, text, message):
+    with pytest.raises(DataError) as err:
+        dataio.read_dataset_csv(_csv(tmp_path, text))
+    assert str(err.value) == message
+
+
+def test_first_bad_row_is_named(tmp_path):
+    text = "a,label\n1,0\n2,1\nx,1\n3,7\n"
+    with pytest.raises(DataError) as err:
+        dataio.read_dataset_csv(_csv(tmp_path, text))
+    assert str(err.value) == (
+        "row 4: field 'a' is neither numeric nor the missing token 'NA': 'x'"
+    )
+
+
+def test_bad_row_after_many_good_rows_is_named(tmp_path):
+    # Thousands of plain rows before the bad one: the error still names it.
+    rng = np.random.default_rng(0)
+    good = [f"{v!r},{i % 2}\n" for i, v in enumerate(rng.standard_normal(30000).tolist())]
+    path = _csv(tmp_path, "a,label\n" + "".join(good) + "inf,1\n")
+    with pytest.raises(DataError) as err:
+        dataio.read_dataset_csv(path)
+    assert str(err.value) == "row 30002: field 'a' must be finite, got 'inf'"
+
+
+# -- accepted variants -------------------------------------------------------
+
+
+def test_whitespace_around_fields_and_labels_is_ignored(tmp_path):
+    text = " a , b ,label \n 1.5 ,  NA , 1 \n-2\t, 3e0 ,0\n"
+    got = dataio.read_dataset_csv(_csv(tmp_path, text))
+    assert _reads_as(got, [[-2.0, 3.0]], [[1.5, math.nan]])
+
+
+def test_crlf_and_lf_line_ends_read_alike(tmp_path):
+    lf = "a,b,label\n1,NA,0\n2.5,-1,1\n"
+    crlf = lf.replace("\n", "\r\n")
+    got_lf = dataio.read_dataset_csv(_csv(tmp_path, lf, "lf.csv"))
+    got_crlf = dataio.read_dataset_csv(_csv(tmp_path, crlf, "crlf.csv"))
+    assert _reads_as(got_lf, [[1.0, math.nan]], [[2.5, -1.0]])
+    assert _reads_as(got_crlf, [[1.0, math.nan]], [[2.5, -1.0]])
+
+
+def test_quoted_fields_are_read(tmp_path):
+    text = '"a","b","label"\n"1.5","NA","1"\n"2",3,"0"\n'
+    got = dataio.read_dataset_csv(_csv(tmp_path, text))
+    assert _reads_as(got, [[2.0, 3.0]], [[1.5, math.nan]])
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["label,a,b\n0,1,2\n1,3,NA\n", "a,label,b\n1,0,2\n3,1,NA\n"],
+)
+def test_label_column_may_be_first_or_in_the_middle(tmp_path, text):
+    got = dataio.read_dataset_csv(_csv(tmp_path, text))
+    assert _reads_as(got, [[1.0, 2.0]], [[3.0, math.nan]])
+
+
+def test_custom_label_column(tmp_path):
+    got = dataio.read_dataset_csv(_csv(tmp_path, "y,a\n0,1\n1,2\n"), label_column="y")
+    assert _reads_as(got, [[1.0]], [[2.0]])
+
+
+def test_custom_token_including_a_numeric_looking_one(tmp_path):
+    text = "a,b,label\n?,1,0\n2,?,1\n"
+    got = dataio.read_dataset_csv(_csv(tmp_path, text), missing_token="?")
+    assert _reads_as(got, [[math.nan, 1.0]], [[2.0, math.nan]])
+    # With a numeric token, only the token's own text is missing: -999.0 is
+    # a value, and whitespace around the token is stripped as anywhere else.
+    text = "a,b,label\n-999,-999.0,0\n -999 ,1,1\n"
+    got = dataio.read_dataset_csv(_csv(tmp_path, text), missing_token="-999")
+    assert _reads_as(got, [[math.nan, -999.0]], [[math.nan, 1.0]])
+    # The default token is then an ordinary non-numeric text.
+    with pytest.raises(DataError) as err:
+        dataio.read_dataset_csv(_csv(tmp_path, "a,label\n1,0\nNA,1\n"),
+                                missing_token="-999")
+    assert str(err.value) == (
+        "row 3: field 'a' is neither numeric nor the missing token '-999': 'NA'"
+    )
+
+
+@pytest.mark.parametrize("token, field", [(" NA", " NA"), ('"NA"', '"NA"')])
+def test_token_is_matched_after_stripping_and_unquoting(tmp_path, token, field):
+    # The field is compared with the token once stripped and unquoted, so a
+    # token with whitespace or quotes around it matches no field.
+    path = _csv(tmp_path, f"a,label\n1,0\n{field},1\n")
+    with pytest.raises(DataError) as err:
+        dataio.read_dataset_csv(path, missing_token=token)
+    shown = "NA" if field.startswith('"') else field
+    assert str(err.value) == (
+        f"row 3: field 'a' is neither numeric nor the missing token {token!r}: "
+        f"{shown!r}"
+    )
+
+
+def test_empty_field_is_missing_only_with_allow_empty(tmp_path):
+    path = _csv(tmp_path, "a,b,label\n,1,0\n2, ,1\n")
+    got = dataio.read_dataset_csv(path, allow_empty=True)
+    assert _reads_as(got, [[math.nan, 1.0]], [[2.0, math.nan]])
+    with pytest.raises(DataError) as err:
+        dataio.read_dataset_csv(path, allow_empty=False)
+    assert str(err.value) == (
+        "row 2: field 'a' is neither numeric nor the missing token 'NA': ''"
+    )
+
+
+def test_last_row_without_a_line_end_is_read(tmp_path):
+    got = dataio.read_dataset_csv(_csv(tmp_path, "a,label\n1,0\n2,1"))
+    assert _reads_as(got, [[1.0]], [[2.0]])
+
+
+# -- differential check against a csv.reader oracle --------------------------
+
+
+def _oracle_read(path, token, allow_empty):
+    """The reader's contract, one csv.reader row and one float at a time."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise DataError("empty CSV: a header row is required")
+    header = [h.strip() for h in rows[0]]
+    if "label" not in header:
+        raise DataError("label column 'label' not found in header")
+    li = header.index("label")
+    by_class: tuple[list, list] = ([], [])
+    for row_num, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DataError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
+        label = row[li].strip()
+        if label not in ("0", "1"):
+            raise DataError(f"row {row_num}: label must be 0 or 1, got {label!r}")
+        values = []
+        for i, name in enumerate(header):
+            if i == li:
+                continue
+            t = row[i].strip()
+            if t == token or (allow_empty and t == ""):
+                values.append(math.nan)
+                continue
+            try:
+                v = float(t)
+            except ValueError:
+                raise DataError(
+                    f"row {row_num}: field {name!r} is neither numeric nor the "
+                    f"missing token {token!r}: {row[i]!r}"
+                ) from None
+            if not math.isfinite(v):
+                raise DataError(
+                    f"row {row_num}: field {name!r} must be finite, got {row[i]!r}"
+                )
+            values.append(v)
+        by_class[label == "1"].append(values)
+    if not by_class[0] or not by_class[1]:
+        raise DataError("both classes must be present in the file")
+    return tuple(np.array(rows, dtype=float) for rows in by_class)
+
+
+# " NA" and '"NA"' are tokens that no field can match once stripped or unquoted.
+TOKENS = ["NA", "-999", "?", "", " NA", '"NA"']
+_PIECES = ["0", "1", "7", "2.5", "-3", ",", '"', " ", "\r", "\n", "\r\n", "nan",
+           "inf", "1.0", "NA", "-999", "?"]
+# Cells are mostly plain; the odd ones are valid or not depending on the token.
+_PLAIN_FIELDS = ["0", "1", "2.5", "-3", "1e3", "-999.0"]
+_ODD_FIELDS = ["", " ", " 4 ", '"5"', "nan", "inf", "1.0", "NA", " NA", '"NA"', "-999",
+               " -999", "?", "x"]
+_ODD_LABELS = [" 1", '"0"', "1.0", "2", ""]
+
+
+@st.composite
+def _csv_texts(draw):
+    """A header then rows: either rows of mostly plain cells, or free text
+    drawn from the piece alphabet."""
+    names = draw(st.sampled_from([["label"], ["a", "label"], ["label", "a"],
+                                  ["a", "b", "label"], ["a", "label", "b"]]))
+    head = ",".join(names)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    if draw(st.integers(0, 4)) == 0:
+        return head + end + "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=40)))
+
+    def cell(name, row):
+        plain = draw(st.integers(0, 14)) > 0
+        if name == "label" and plain:  # the first two rows hold both classes
+            return str(row) if row < 2 else draw(st.sampled_from(["0", "1"]))
+        if name == "label":
+            return draw(st.sampled_from(_ODD_LABELS))
+        return draw(st.sampled_from(_PLAIN_FIELDS if plain else _ODD_FIELDS))
+
+    rows = []
+    for row in range(draw(st.integers(0, 10))):
+        cells = [cell(name, row) for name in names]
+        if draw(st.integers(0, 39)) == 0:  # a stray extra or missing field
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        odd_end = draw(st.integers(0, 39)) == 0
+        rows.append(",".join(cells) + (draw(st.sampled_from(["\r", "\n\n"])) if odd_end else end))
+    text = head + end + "".join(rows)
+    return text[:-len(end)] if rows and draw(st.booleans()) and text.endswith(end) else text
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_csv_texts(), token=st.sampled_from(TOKENS), allow_empty=st.booleans())
+def test_reader_matches_the_csv_reader_oracle(tmp_path, text, token, allow_empty):
+    path = _csv(tmp_path, text)
+    try:
+        want = _oracle_read(path, token, allow_empty)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            dataio.read_dataset_csv(path, token, "label", allow_empty)
+        assert str(err.value) == str(exc)
+        return
+    try:
+        got = dataio.read_dataset_csv(path, token, "label", allow_empty)
+    except DataError as exc:
+        # Only Dataset's own check (no feature column) may refuse it.
+        with pytest.raises(DataError) as err:
+            Dataset(want[0], 0), Dataset(want[1], 1)
+        assert str(err.value) == str(exc)
+        return
+    for ds, arr in zip(got, want):
+        assert ds.values.dtype == np.float64
+        assert ds.values.shape == arr.shape
+        assert ds.values.tobytes() == arr.tobytes()
+
+
+def test_many_rows_read_bit_identical_to_the_oracle(tmp_path):
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal((25000, 3)) * 10.0 ** rng.integers(-300, 300, (25000, 3))
+    cells = [["NA" if rng.random() < 0.3 else repr(v) for v in row] for row in z.tolist()]
+    text = "f0,f1,f2,label\r\n" + "".join(
+        ",".join(row) + f",{i % 2}\r\n" for i, row in enumerate(cells)
+    )
+    path = _csv(tmp_path, text)
+    got = dataio.read_dataset_csv(path)
+    want = _oracle_read(path, "NA", True)
+    for ds, arr in zip(got, want):
+        assert ds.values.shape == arr.shape
+        assert ds.values.tobytes() == arr.tobytes()
+
+
+# -- written bytes against a csv.DictWriter oracle ---------------------------
+
+
+def _oracle_table(rows: list[dict], meta: dict) -> bytes:
+    buf = io.StringIO(newline="")
+    buf.write("# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items())) + "\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: repr(v) if isinstance(v, float) else v
+                         for k, v in row.items()})
+    return buf.getvalue().encode()
+
+
+def test_table_bytes_match_the_dictwriter_oracle(tmp_path):
+    rows = [
+        {"estimator": 'nb, "joint"', "n": 500, "power_mean": 0.1 + 0.2,
+         "ci_half": math.nan, "note": "line\nbreak"},
+        {"estimator": "mkliep", "n": 20000, "power_mean": -0.0,
+         "ci_half": math.inf, "note": ""},
+    ]
+    meta = {"scenario": "mixture2d", "seed": 3, "command": "experiment-power"}
+    path = tmp_path / "table.csv"
+    dataio.write_table_csv(path, rows, meta=meta)
+    assert path.read_bytes() == _oracle_table(rows, meta)
+
+
+def test_classify_output_matches_the_dictwriter_oracle(tmp_path):
+    rng = np.random.default_rng(5)
+    class0 = Dataset(rng.normal(0.0, 1.0, (300, 2)), 0)
+    class1 = Dataset(rng.normal(0.7, 1.0, (200, 2)), 1)
+    data = tmp_path / "test.csv"
+    dataio.write_dataset_csv(data, class0, class1)
+    clf_path = tmp_path / "clf.txt"
+    model = LogLinearRatioModel(theta=np.array([0.8, -0.3]),
+                                feature_map=FeatureMap.identity(2), normalizer=1.25)
+    clf = np_classify.build_np_classifier(model, class0, 0.2, 0.2)
+    clf_path.write_text(dataio.classifier_to_text(clf))
+    out = tmp_path / "labels.csv"
+    assert cli.main(["classify", "--classifier", str(clf_path), "--data", str(data),
+                     "--out", str(out)]) == 0
+    clf = dataio.classifier_from_text(clf_path.read_text())
+    rows = [
+        {"true_label": ds.label, "score": float(s), "label": int(lab)}
+        for ds in (class0, class1)
+        for s, lab in zip(clf.score_fn(ds.values), np_classify.classify(clf, ds.values))
+    ]
+    assert out.read_bytes() == _oracle_table(rows, {"classifier": str(clf_path)})
