@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -69,13 +70,29 @@ def _parse_field(
     return v
 
 
+def _numbered_rows(reader, start: int):
+    """(row number, fields) for each row of a ``csv.reader``, numbered from
+    ``start``; a row the reader cannot split (such as a field over the csv
+    module's size limit) raises a ``DataError`` that names it."""
+    row_num = start
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataError(f"row {row_num}: unreadable CSV row: {exc}") from None
+        yield row_num, row
+        row_num += 1
+
+
 def _read_rows(
     reader, header: list[str], label_idx: int, missing_token: str, allow_empty: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parse the rows one at a time; raise the ``DataError`` of the first bad one."""
     feature_cols = [(i, name) for i, name in enumerate(header) if i != label_idx]
     rows0, rows1 = [], []
-    for row_num, row in enumerate(reader, start=2):
+    for row_num, row in _numbered_rows(reader, 2):
         if len(row) != len(header):
             raise DataError(
                 f"row {row_num}: expected {len(header)} fields, got {len(row)}"
@@ -145,8 +162,8 @@ def _read_rows_bulk(
             return None
         values = values.reshape(len(lines), width - 1)
         is1 = np.frombuffer("".join(labels).encode(), dtype=np.uint8) == ord("1")
-        chunks0.append(values[~is1])
-        chunks1.append(values[is1])
+        chunks0.append(np.compress(~is1, values, axis=0))
+        chunks1.append(np.compress(is1, values, axis=0))
     empty = [np.empty((0, width - 1))]
     return np.concatenate(chunks0 or empty), np.concatenate(chunks1 or empty)
 
@@ -171,11 +188,10 @@ def read_dataset_csv(
     arrays or raises the ``DataError`` that names the first bad row.
     """
     with open(path, newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise DataError("empty CSV: a header row is required") from None
-        header = [h.strip() for h in header]
+        first = next(_numbered_rows(csv.reader(fh), 1), None)
+        if first is None:
+            raise DataError("empty CSV: a header row is required")
+        header = [h.strip() for h in first[1]]
         if label_column not in header:
             raise DataError(f"label column {label_column!r} not found in header")
         label_idx = header.index(label_column)
@@ -214,9 +230,34 @@ def write_dataset_csv(
                 )
 
 
+# The space before each ``key=`` of a meta line; values may hold spaces.
+_META_ITEM_BREAK = re.compile(r" (?=[A-Za-z_]\w*=)")
+
+
 def _write_meta_line(fh, meta: dict) -> None:
     items = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
     fh.write(f"# {items}\n")
+
+
+def _parse_meta_line(text: str) -> dict:
+    """Read the ``key=value`` items that ``_write_meta_line`` joined.
+
+    The writer sorts the keys, so a space and ``key=`` start a new item only
+    where ``key`` sorts after the previous key; elsewhere they belong to the
+    previous value.  A value that holds `` k=`` with ``k`` sorting after its
+    own key is still split there, but the items are then written back to the
+    same bytes.
+    """
+    meta: dict = {}
+    key = None
+    for item in _META_ITEM_BREAK.split(text):
+        k, eq, v = item.partition("=")
+        if eq and (key is None or k > key):
+            key = k
+            meta[key] = v
+        elif key is not None:
+            meta[key] += " " + item
+    return meta
 
 
 def write_table_csv(path, rows: list[dict], meta: dict | None = None) -> None:
@@ -262,10 +303,7 @@ def read_table_csv(path) -> tuple[list[dict], dict]:
     with open(path, newline="") as fh:
         first = fh.readline()
         if first.startswith("#"):
-            for item in first[1:].strip().split():
-                if "=" in item:
-                    k, v = item.split("=", 1)
-                    meta[k] = v
+            meta = _parse_meta_line(first[1:].rstrip("\r\n").removeprefix(" "))
             body = fh.read()
         else:
             body = first + fh.read()

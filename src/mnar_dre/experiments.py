@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import kliep, naive_bayes
 from .kliep import COMPLETE_CASE, FULLY_OBSERVED, Mnar
@@ -215,7 +215,7 @@ def _map_reps(worker, payloads, workers: int):
 
 
 def _mean_ci_half(values: np.ndarray, level: float) -> tuple[float, float]:
-    z = norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)  # the normal quantile, as norm.ppf computes it
     m = float(values.mean())
     half = float(z * values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else math.inf
     return m, half

@@ -42,8 +42,8 @@ from .optimize import newton
 from .weighting import point_importance_weights
 
 # The benchmark tracer in benchmarks/tracing.py wraps the solver by this
-# module-level name and calls it as (objective, theta0); the fit below looks
-# it up here so the wrapper sees every call.
+# module-level name and calls it as (objective, theta0, **kwargs); the fit
+# below looks it up here so the wrapper sees every call.
 gradient_descent = newton
 
 FULLY_OBSERVED = "fully-observed"
@@ -75,31 +75,31 @@ def class_terms(
     data: Dataset, fmap: FeatureMap, mode: WeightingMode, class_index: int
 ) -> ClassTerms:
     """Resolve one class's rows into (features, weights, divisor)."""
-    observed = data.observed_rows()
     n = data.n
     if isinstance(mode, Mnar):
         phi = mode.phi1 if class_index == 1 else mode.phi0
         w = point_importance_weights(data.values, phi)
-        keep = w > 0.0
-        if not keep.any():
+        keep = np.flatnonzero(w > 0.0)
+        if not keep.size:
             raise NumericError(
                 f"degenerate class-{class_index} weighted sum: no observed rows"
             )
-        return ClassTerms(fmap(data.values[keep]), w[keep], n, n)
+        return ClassTerms(fmap(data.values.take(keep, axis=0)), w.take(keep), n, n)
     if mode == FULLY_OBSERVED:
-        if not observed.all():
+        if not data.fully_observed:
             raise DataError(
                 "fully-observed mode requires complete data; use the MNAR or "
                 "complete-case mode on corrupted samples"
             )
         return ClassTerms(fmap(data.values), np.ones(n), n, n)
     if mode == COMPLETE_CASE:
-        m = int(observed.sum())
+        rows = np.flatnonzero(data.observed_rows())
+        m = rows.size
         if m == 0:
             raise NumericError(
                 f"degenerate class-{class_index} weighted sum: no complete cases"
             )
-        return ClassTerms(fmap(data.values[observed]), np.ones(m), m, n)
+        return ClassTerms(fmap(data.values.take(rows, axis=0)), np.ones(m), m, n)
     raise ValueError(f"unknown weighting mode {mode!r}")
 
 
@@ -153,16 +153,17 @@ def fit(
         class_terms(class1, fmap, mode, 1), class_terms(class0, fmap, mode, 0)
     )
     theta0 = np.zeros(fmap.output_dim)
+    start = core.loss_grad_hess(theta0)
     # Theorem-level assumption Var(f(Z^0)) > 0; warn, never fail.  The
     # Hessian at theta = 0 is the weighted covariance of the class-0 features.
-    if np.linalg.eigvalsh(core.loss_grad_hess(theta0)[2]).min() <= 1e-12:
+    if np.linalg.eigvalsh(start[2]).min() <= 1e-12:
         warnings.warn(
             "class-0 feature second-moment matrix is (near-)degenerate; the "
             "fit may be ill-conditioned",
             RuntimeWarning,
             stacklevel=2,
         )
-    result = gradient_descent(core.loss_grad_hess, theta0)
+    result = gradient_descent(core.loss_grad_hess, theta0, start=start)
     return LogLinearRatioModel(
         theta=result.theta, feature_map=fmap, converged=result.converged
     )

@@ -273,8 +273,9 @@ def calibration_scores(
     """
     observed = calibration.observed_rows()
     scores = np.full(calibration.n, -np.inf)
-    if observed.any():
-        scores[observed] = score_fn(calibration.values[observed])
+    rows = np.flatnonzero(observed)
+    if rows.size:
+        scores[rows] = score_fn(calibration.values.take(rows, axis=0))
     if phi0 is None or phi0.is_zero():
         weights = observed.astype(float)
     else:

@@ -39,8 +39,12 @@ class NewtonResult:
 def newton(
     fun: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
     theta0: np.ndarray,
+    start: tuple[float, np.ndarray, np.ndarray] | None = None,
 ) -> NewtonResult:
     """Minimize ``fun``, which returns (loss, gradient, Hessian), from ``theta0``.
+
+    ``start`` is ``fun(theta0)`` when the caller has already evaluated it;
+    every further evaluation is then a line-search trial.
 
     ``converged`` holds iff the final gradient norm is at most ``GRAD_TOL``.
     The loop stops without converging after ``MAX_ITERS`` steps, when the
@@ -49,7 +53,7 @@ def newton(
     passes the line search.  Non-finite candidate losses are rejected.
     """
     theta = np.array(theta0, dtype=float)
-    loss, grad, hess = fun(theta)
+    loss, grad, hess = fun(theta) if start is None else start
     if not np.isfinite(loss):
         raise ValueError("objective is non-finite at the initial point")
     iterations = 0

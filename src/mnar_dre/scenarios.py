@@ -5,7 +5,8 @@ exact tools used throughout the experiments:
 
 * sampling: component labels and standard normals are drawn, then one
   matmul against every component's stacked Cholesky factor L_k' transforms
-  the normals under all components and each row keeps its own component's,
+  the normals under all components, and each row keeps its own component's
+  transform plus that component's mean,
 * the analytic log density ratio for oracle classifiers: each component's
   log density is log_norm_k - |(z - mu_k) W_k|^2 / 2 with the whitening
   factor W_k = inv(L_k)', and the components are combined with logaddexp,
@@ -87,8 +88,12 @@ class GaussianMixture:
         k, d = self.weights.size, self.dim
         comp = rng.choice(k, size=n, p=self.weights)
         eps = rng.standard_normal((n, d))
-        cand = (eps @ self._chols_t_stacked).reshape(n, k, d) + self.means
-        return cand[np.arange(n), comp]
+        # Row i of the (n * k, d) candidates is draw i // k under component
+        # i % k; one flat take keeps each draw's own component.
+        cand = (eps @ self._chols_t_stacked).reshape(n * k, d)
+        out = cand.take(np.arange(0, n * k, k) + comp, axis=0)
+        out += self.means.take(comp, axis=0)
+        return out
 
     def log_pdf(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))

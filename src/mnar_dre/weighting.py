@@ -8,14 +8,16 @@ goes missing with probability phi(z) depending on its true value z,
 so reweighting observed points by 1/(1 - phi) and keeping the divisor at the
 *total* count n (missing included) restores unbiased plain averages.  The
 estimators take their weights from ``point_importance_weights`` and keep the
-divisor at n (see ``kliep.class_terms``).
+divisor at n (see ``kliep.class_terms``).  The observed-row mask comes from
+``model.observed_mask``, the same function that builds
+``Dataset.observed_rows``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import MAX_WEIGHT, MissingnessFunction
+from .model import MAX_WEIGHT, MissingnessFunction, observed_mask
 
 
 def point_importance_weights(
@@ -30,16 +32,17 @@ def point_importance_weights(
     ``prob`` already clamps phi to at most 1 - EPS_PHI.
     """
     values = np.asarray(values, dtype=float)
-    observed = ~np.isnan(values).any(axis=1)
+    observed = observed_mask(values)
     w = np.zeros(values.shape[0])
-    if not observed.any():
+    rows = np.flatnonzero(observed)
+    if not rows.size:
         return w
-    obs = values[observed]
+    obs = values.take(rows, axis=0)
     if phi.joint:
-        w[observed] = 1.0 / (1.0 - phi.point_prob(obs))
+        w[rows] = 1.0 / (1.0 - phi.point_prob(obs))
     else:
-        prod = np.ones(obs.shape[0])
+        prod = np.ones(rows.size)
         for j in range(phi.dim):
             prod *= 1.0 / (1.0 - phi.coord_prob(j, obs[:, j]))
-        w[observed] = np.minimum(prod, MAX_WEIGHT)
+        w[rows] = np.minimum(prod, MAX_WEIGHT)
     return w

@@ -149,6 +149,24 @@ class TestExitCodes:
                        files["test"], "--out", str(files["dir"] / "unused-labels.csv")])
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            ('f0,f1,label\n1.0,2.0,0\n"1{big}",2.0,1\n', 3),
+            ('"f{big}",f1,label\n1.0,2.0,0\n', 1),
+        ],
+    )
+    def test_field_over_the_csv_size_limit_exits_3(self, files, text, row, capsys):
+        # A quoted field of 140,000 characters is past the csv module's limit.
+        bad = files["dir"] / "huge-field.csv"
+        bad.write_text(text.format(big="1" * 140_000))
+        rc = cli.main(["fit", "--mode", "kliep", "--data", str(bad), "--out",
+                       str(files["dir"] / "unused-model.txt")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"row {row}: unreadable CSV row" in err
+        assert "field larger than field limit" in err
+
     def test_learn_phi_negative_queries_exits_3(self, files):
         rc = cli.main(["learn-phi", "--data", files["train"], "--latent",
                        files["latent"], "--queries", "-1", "--out",
@@ -380,6 +398,21 @@ def test_classify_scores_each_point_once(files, monkeypatch, per_dim):
                      "--out", str(out)]) == 0
     # 300 test points per class, scored once by each of the model's parts.
     assert sum(scored) == 600 * (2 if per_dim else 1)
+
+
+def test_meta_value_with_spaces_round_trips_through_emit_plot_data(files, tmp_path):
+    spaced = tmp_path / "sp ace b=1"
+    spaced.mkdir()
+    clf = spaced / "clf x.txt"
+    clf.write_bytes(Path(files["clf"]).read_bytes())
+    labels, plot = spaced / "labels x.csv", spaced / "plot.csv"
+    assert cli.main(["classify", "--classifier", str(clf), "--data", files["test"],
+                     "--out", str(labels)]) == 0
+    assert cli.main(["emit-plot-data", "--table", str(labels), "--out", str(plot)]) == 0
+    meta_line = f"# classifier={clf}\n"
+    assert labels.read_text().startswith(meta_line)
+    assert plot.read_text().startswith(meta_line)
+    assert dataio.read_table_csv(plot)[1] == {"classifier": str(clf)}
 
 
 def test_strict_fit_on_well_posed_data_exits_0(tmp_path):

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mnar_dre import kliep
 from mnar_dre.kliep import (
     COMPLETE_CASE,
     FULLY_OBSERVED,
@@ -189,6 +190,44 @@ class TestFit:
         with pytest.warns(RuntimeWarning, match="degenerate"):
             model = fit(d1, d0, FeatureMap.identity(1))
         assert not model.converged
+
+    @pytest.mark.parametrize(
+        "mode_name", ["fully-observed", "complete-case", "mnar"]
+    )
+    def test_objective_evaluated_once_plus_line_search_trials(
+        self, monkeypatch, mode_name
+    ):
+        # theta = 0 is evaluated once, for both the degenerate-variance check
+        # and the solver's start; every later evaluation is a line-search trial.
+        rng = np.random.default_rng(31)
+        d1, d0, mnar_mode = _corrupted_pair(rng)
+        mode = mnar_mode if mode_name == "mnar" else mode_name
+        if mode == FULLY_OBSERVED:
+            d1 = Dataset(d1.values[d1.observed_rows()], 1)
+        evaluated, trials = [], []
+        original = _KliepCore.loss_grad_hess
+
+        def counting(self, theta):
+            evaluated.append(np.array(theta))
+            return original(self, theta)
+
+        solver = kliep.gradient_descent
+
+        def counting_solver(fun, theta0, **kwargs):
+            def trial(theta):
+                trials.append(np.array(theta))
+                return fun(theta)
+
+            return solver(trial, theta0, **kwargs)
+
+        monkeypatch.setattr(_KliepCore, "loss_grad_hess", counting)
+        monkeypatch.setattr(kliep, "gradient_descent", counting_solver)
+        model = fit(d1, d0, FeatureMap.identity(2), mode)
+        assert model.converged
+        assert len(trials) >= 1
+        assert len(evaluated) == 1 + len(trials)
+        assert not np.any(evaluated[0])
+        assert all(np.any(theta) for theta in trials)
 
     def test_degenerate_variance_warns_not_fails(self):
         d1 = Dataset(np.array([[0.1], [0.2], [0.3]]), 1)

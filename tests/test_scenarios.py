@@ -159,8 +159,12 @@ class TestGaussianMixture:
             assert np.all(np.isfinite(got))
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("name", ["gauss5d", "nb-rho", "mixture2d", "vary-misspec"])
-    @pytest.mark.parametrize("n", [0, 1, 1000])
+    @pytest.mark.parametrize(
+        "name",
+        ["gauss5d", "nb-rho", "mixture2d", "vary-misspec", "mixture2d-logistic",
+         "diff-var"],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 1000, 100000])
     def test_sample_bit_identical_to_masked_sampler(self, name, n):
         # gauss5d and nb-rho have one component: the sampler must still draw
         # the component labels, or the normals come from another stream.
