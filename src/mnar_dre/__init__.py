@@ -5,7 +5,6 @@ learning from queried samples, and a reproducible experiment harness."""
 __version__ = "0.1.0"
 
 from .model import (
-    CLAMP_COUNTER,
     ConstantProb,
     DataError,
     Dataset,

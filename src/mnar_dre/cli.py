@@ -3,7 +3,8 @@
 Commands::
 
     fit           fit a density ratio model from a labelled CSV
-    np-calibrate  select an error-controlled classification threshold
+    np-calibrate  select an error-controlled classification threshold on a
+                  separate class-0 calibration CSV
     classify      label points with a calibrated classifier
     learn-phi     learn per-feature missingness by querying latent values
     corrupt       induce synthetic MNAR missingness in a CSV
@@ -15,12 +16,17 @@ Every command is a pure function of its inputs, flags, and seed; reruns are
 byte-identical.  Flags override values from an optional ``--config`` file of
 ``key = value`` lines.  Exit codes: 0 success, 2 usage error, 3 data error,
 4 numeric failure.
+
+``np-calibrate`` reads its class-0 calibration sample from its own
+``--calibration`` file.  The NP Type I guarantee holds only when that sample
+is drawn independently of the data the model was fitted on.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -28,7 +34,7 @@ import numpy as np
 from . import __version__, dataio, experiments, kliep, naive_bayes
 from .kliep import COMPLETE_CASE, FULLY_OBSERVED, Mnar
 from .missingness import learn_missingness
-from .model import Dataset, DataError, FeatureMap, MissingnessFunction, NumericError
+from .model import DataError, FeatureMap, MissingnessFunction, NumericError
 from .np_classify import build_np_classifier, labels_from_scores
 # Unused here; benchmarks/tracing.py wraps the classify step under this name.
 from .np_classify import classify as np_classify_points  # noqa: F401
@@ -181,33 +187,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_np_calibrate(args) -> int:
-    _require(args, "model", "out", "alpha", "delta")
-    if args.calibration is None and (args.data is None or args.split is None):
-        raise _UsageError(
-            "np-calibrate needs --calibration, or --data with an explicit "
-            "--split fraction (training data must never double as calibration)"
-        )
+    _require(args, "model", "calibration", "out", "alpha", "delta")
     with open(args.model) as fh:
         model = dataio.model_from_text(fh.read())
-    if args.calibration is not None:
-        class0, _class1 = dataio.read_dataset_csv(
-            args.calibration, args.missing_token or "NA",
-            args.label_column or "label",
-        )
-    else:
-        class0_all, _ = dataio.read_dataset_csv(
-            args.data, args.missing_token or "NA", args.label_column or "label"
-        )
-        rng = np.random.default_rng(args.seed or 0)
-        n = class0_all.n
-        n_cal = int(round((args.split) * n))
-        if not 0 < n_cal <= n:
-            raise _UsageError("--split must leave a non-empty calibration part")
-        idx = rng.permutation(n)[:n_cal]
-        idx = np.sort(idx)
-        class0 = Dataset(class0_all.values[idx], 0)
-        with open(args.out + ".split-indices.txt", "w") as fh:
-            fh.write("\n".join(str(i) for i in idx) + "\n")
+    class0, _class1 = dataio.read_dataset_csv(
+        args.calibration, args.missing_token or "NA", args.label_column or "label"
+    )
     phi0 = _read_phi(args.phi0)
     clf = build_np_classifier(
         model, class0, args.alpha, args.delta, phi0=phi0, rule=args.rule or "auto"
@@ -297,8 +282,6 @@ def _cmd_preprocess(args) -> int:
     class0, class1 = dataio.read_dataset_csv(
         args.data, args.missing_token or "NA", args.label_column or "label"
     )
-    if args.apply_transform:
-        raise _UsageError("--apply-transform is not supported yet; fit on train data")
     class0, class1, _rec = dataio.preprocess(
         class0,
         class1,
@@ -383,7 +366,10 @@ def _cmd_emit_plot_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and every call of ``main`` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="mnar-dre",
         description="Density ratio estimation and error-controlled "
@@ -414,11 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("np-calibrate", help="select a classification threshold")
     common(p, _cmd_np_calibrate)
     p.add_argument("--model")
-    p.add_argument("--calibration", help="class-0 calibration CSV (distinct file)")
-    p.add_argument("--data", help="with --split: file to split for calibration")
-    p.add_argument("--split", type=float,
-                   help="calibration fraction; indices are recorded next to --out")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--calibration",
+                   help="CSV whose class-0 rows calibrate the threshold; a "
+                   "separate file, drawn independently of the training data")
     p.add_argument("--alpha", type=float)
     p.add_argument("--delta", type=float)
     p.add_argument("--rule", choices=["auto", "binomial", "missing"])
@@ -462,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--impute", action="store_true")
     p.add_argument("--trim", action="append", type=_trim_spec,
                    help="column:lo:hi ('none' to skip a side)")
-    p.add_argument("--apply-transform", dest="apply_transform")
 
     p = sub.add_parser("experiment", help="run a replication study")
     common(p, _cmd_experiment)

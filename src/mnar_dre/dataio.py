@@ -517,19 +517,27 @@ def rwe_preset(
 # ---------------------------------------------------------------------------
 
 
-def read_config_file(path) -> dict[str, str]:
-    """Parse ``key = value`` lines; ``#`` starts a comment."""
+def _kv_from_text(text: str) -> dict[str, str]:
+    """Parse the ``key = value`` lines of a config, model or classifier file;
+    ``#`` starts a comment.  A line without ``=`` raises ``DataError``
+    naming the line."""
     out: dict[str, str] = {}
-    with open(path) as fh:
-        for line_num, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise DataError(f"config line {line_num}: expected 'key = value'")
-            k, v = stripped.split("=", 1)
-            out[k.strip()] = v.strip()
+    for line_num, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        k, eq, v = stripped.partition("=")
+        if not eq:
+            raise DataError(
+                f"line {line_num}: expected 'key = value', got {stripped!r}"
+            )
+        out[k.strip()] = v.strip()
     return out
+
+
+def read_config_file(path) -> dict[str, str]:
+    with open(path) as fh:
+        return _kv_from_text(fh.read())
 
 
 def _write_kv(fh, items) -> None:
@@ -621,8 +629,6 @@ def missingness_from_text(text: str) -> MissingnessFunction:
 
 
 def _feature_map_items(fmap: FeatureMap, prefix: str = "") -> list[tuple[str, str]]:
-    if fmap.kind == "custom":
-        raise DataError("custom feature maps are not serializable")
     return [
         (f"{prefix}feature_map", fmap.kind),
         (f"{prefix}input_dim", str(fmap.input_dim)),
@@ -659,17 +665,6 @@ def model_to_text(model) -> str:
     else:
         raise DataError(f"cannot serialize model of type {type(model).__name__}")
     return buf.getvalue()
-
-
-def _kv_from_text(text: str) -> dict[str, str]:
-    out = {}
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        k, _, v = stripped.partition("=")
-        out[k.strip()] = v.strip()
-    return out
 
 
 _REQUIRED = object()
@@ -747,10 +742,12 @@ def classifier_to_text(clf: NpClassifier) -> str:
             ("threshold", repr(float(clf.threshold))),
             ("i_star", "none" if p.order_index is None else str(p.order_index)),
             ("margin", "none" if p.margin is None else repr(float(p.margin))),
-            ("margin_constant", repr(float(clf.margin_constant))),
+            # The paper's margin constant is the only one; the two lines keep
+            # the file format.
+            ("margin_constant", repr(PAPER_MARGIN_CONSTANT)),
             ("degenerate", str(p.degenerate).lower()),
             ("all_missing", str(p.all_missing).lower()),
-            ("non_paper_margin", str(clf.non_paper).lower()),
+            ("non_paper_margin", "false"),
             ("calibration_size", str(p.calibration_size)),
         ],
     )
@@ -785,6 +782,5 @@ def classifier_from_text(text: str) -> NpClassifier:
         delta=_field(kv, "delta", float),
         method=method,
         provenance=provenance,
-        margin_constant=_field(kv, "margin_constant", float, PAPER_MARGIN_CONSTANT),
         model=model,
     )

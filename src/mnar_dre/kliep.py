@@ -23,6 +23,7 @@ fit minimizes L by damped Newton (``optimize.newton``).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -175,10 +176,19 @@ def normalizing_constant(
     """Estimate N = E[r(Z^0)] as (1/divisor) sum_i w_i r(x0_i) over the
     class-0 rows, weights and divisor of weighting ``mode``.
 
-    Attach the value with ``model.with_normalizer``.
+    Attach the value with ``model.with_normalizer``.  A value that overflows
+    to inf or underflows to 0, as after a diverged fit, raises
+    ``NumericError``.
     """
     t0 = class_terms(class0, model.feature_map, mode, 0)
     s = t0.features @ model.theta
     # exp can overflow for extreme theta; go through log space.
     log_n = logsumexp(s, b=t0.weights) - np.log(t0.divisor)
-    return float(np.exp(log_n))
+    with np.errstate(over="ignore"):
+        value = float(np.exp(log_n))
+    if not 0.0 < value < math.inf:
+        raise NumericError(
+            f"normalizing constant exp({log_n:.6g}) is not a finite positive "
+            "number; the fit has diverged"
+        )
+    return value

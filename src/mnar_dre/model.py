@@ -32,42 +32,22 @@ class NumericError(RuntimeError):
     """Numeric failure such as a degenerate weighted sum (CLI exit code 4)."""
 
 
-class ClampCounter:
-    """Counts missing-probability evaluations clamped to the 1 - EPS_PHI cap."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._warned = False
-
-    def add(self, n: int) -> None:
-        if n <= 0:
-            return
-        self.count += n
-        if not self._warned:
-            self._warned = True
-            warnings.warn(
-                "missing-probability evaluations were clamped to "
-                f"{1.0 - EPS_PHI}; importance weights are capped at {MAX_WEIGHT:g}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-    def reset(self) -> None:
-        self.count = 0
-        self._warned = False
-
-
-CLAMP_COUNTER = ClampCounter()
-
-
 def clamp_missing_prob(p: np.ndarray) -> np.ndarray:
-    """Clamp raw missing probabilities into [0, 1 - EPS_PHI], counting clamps."""
+    """Clamp raw missing probabilities into [0, 1 - EPS_PHI].
+
+    A clamp of any value warns; the warning is issued from this one line,
+    so Python's default filter shows it once per process.
+    """
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p)):
         raise ValueError("missingness function produced non-finite values")
     hi = 1.0 - EPS_PHI
-    n_clamped = int(np.count_nonzero((p < 0.0) | (p > hi)))
-    CLAMP_COUNTER.add(n_clamped)
+    if np.any((p < 0.0) | (p > hi)):
+        warnings.warn(
+            f"missing-probability evaluations were clamped to {hi}; importance "
+            f"weights are capped at {MAX_WEIGHT:g}",
+            RuntimeWarning,
+        )
     return np.clip(p, 0.0, hi)
 
 
@@ -377,14 +357,12 @@ class Dataset:
 class FeatureMap:
     """Feature map f: R^p -> R^d used by the log-linear ratio model.
 
-    Outputs are validated finite on every evaluation; custom maps must
-    declare their output dimension up front.
+    Outputs are validated finite on every evaluation.
     """
 
     kind: str
     input_dim: int
     output_dim: int
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     @classmethod
     def identity(cls, dim: int) -> "FeatureMap":
@@ -393,12 +371,6 @@ class FeatureMap:
     @classmethod
     def identity_plus_squares(cls, dim: int) -> "FeatureMap":
         return cls(kind="identity-squares", input_dim=dim, output_dim=2 * dim)
-
-    @classmethod
-    def custom(cls, fn: Callable, input_dim: int, output_dim: int) -> "FeatureMap":
-        if output_dim < 1:
-            raise ValueError("custom feature maps must declare output_dim >= 1")
-        return cls(kind="custom", input_dim=input_dim, output_dim=output_dim, fn=fn)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
@@ -414,15 +386,8 @@ class FeatureMap:
             out = z
         elif self.kind == "identity-squares":
             out = np.hstack([z, z * z])
-        elif self.kind == "custom":
-            out = np.atleast_2d(np.asarray(self.fn(z), dtype=float))
         else:
             raise ValueError(f"unknown feature map kind {self.kind!r}")
-        if out.shape != (z.shape[0], self.output_dim):
-            raise ValueError(
-                f"feature map produced shape {out.shape}, expected "
-                f"{(z.shape[0], self.output_dim)}"
-            )
         if not np.all(np.isfinite(out)):
             raise NumericError("feature map produced non-finite outputs")
         return out
@@ -451,8 +416,8 @@ class LogLinearRatioModel:
             )
         if not np.all(np.isfinite(t)):
             raise ValueError("theta must be finite")
-        if self.normalizer is not None and not self.normalizer > 0.0:
-            raise ValueError("normalizer must be positive when set")
+        if self.normalizer is not None and not 0.0 < self.normalizer < math.inf:
+            raise ValueError("normalizer must be positive and finite when set")
         object.__setattr__(self, "theta", _freeze(t))
 
     @property

@@ -49,17 +49,13 @@ class ThresholdResult:
     m_eff0: float | None = None  # n0 (1 - sup phi0) for the weighted rule
 
 
-def delta_margin(
-    m_eff0: float, delta: float, margin_constant: float = PAPER_MARGIN_CONSTANT
-) -> float:
-    """Conservative slack sqrt(C log(1/delta) / m_eff0) with C = 16 by default."""
+def delta_margin(m_eff0: float, delta: float) -> float:
+    """Conservative slack sqrt(C log(1/delta) / m_eff0) with the paper's C = 16."""
     if not m_eff0 > 0.0:
         raise ValueError("effective class-0 sample size must be positive")
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
-    if not margin_constant >= 0.0:
-        raise ValueError("margin constant must be non-negative")
-    return math.sqrt(margin_constant * math.log(1.0 / delta) / m_eff0)
+    return math.sqrt(PAPER_MARGIN_CONSTANT * math.log(1.0 / delta) / m_eff0)
 
 
 def threshold_missing(
@@ -68,7 +64,6 @@ def threshold_missing(
     alpha: float,
     delta: float,
     m_eff0: float,
-    margin_constant: float = PAPER_MARGIN_CONSTANT,
 ) -> ThresholdResult:
     """Weighted threshold rule on calibration scores that may contain -inf.
 
@@ -94,7 +89,7 @@ def threshold_missing(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     n0 = scores.shape[0]
-    margin = delta_margin(m_eff0, delta, margin_constant)
+    margin = delta_margin(m_eff0, delta)
     cutoff = alpha - margin
     all_missing = bool(np.all(weights == 0.0))
     if all_missing:
@@ -219,16 +214,7 @@ class NpClassifier:
     delta: float
     method: str
     provenance: ThresholdResult
-    margin_constant: float = PAPER_MARGIN_CONSTANT
     model: RatioModel | None = None
-
-    @property
-    def non_paper(self) -> bool:
-        """True when the margin constant was overridden from its source value."""
-        return (
-            self.method == "missing-weighted"
-            and self.margin_constant != PAPER_MARGIN_CONSTANT
-        )
 
     def degenerate_reason(self) -> str | None:
         """Why no calibration score qualified as the threshold, or None.
@@ -298,7 +284,6 @@ def build_np_classifier(
     delta: float,
     phi0: MissingnessFunction | None = None,
     rule: str = "auto",
-    margin_constant: float = PAPER_MARGIN_CONSTANT,
 ) -> NpClassifier:
     """Calibrate a threshold on a fresh class-0 sample and wrap the score.
 
@@ -309,8 +294,9 @@ def build_np_classifier(
       * "binomial" -- force the fully observed rule;
       * "missing"  -- force the weighted rule.
 
-    The calibration sample must be disjoint from the training data; reusing
-    training points voids the Type I guarantee.
+    ``calibration`` is a separate class-0 sample, drawn independently of the
+    training data (the CLI reads it from its own file); reusing training
+    points voids the Type I guarantee.
     """
     if calibration.label != 0:
         raise DataError("calibration data must come from class 0")
@@ -327,9 +313,7 @@ def build_np_classifier(
         scores, weights = calibration_scores(score_fn, calibration, phi0)
         phi_sup = 0.0 if no_phi0 else phi0.sup_prob()
         m_eff0 = calibration.n * (1.0 - phi_sup)
-        result = threshold_missing(
-            scores, weights, alpha, delta, m_eff0, margin_constant
-        )
+        result = threshold_missing(scores, weights, alpha, delta, m_eff0)
     else:
         raise ValueError("rule must be 'auto', 'binomial' or 'missing'")
     return NpClassifier(
@@ -339,7 +323,6 @@ def build_np_classifier(
         delta=delta,
         method=result.method,
         provenance=result,
-        margin_constant=margin_constant,
         model=model,
     )
 

@@ -167,6 +167,24 @@ class TestExitCodes:
         assert f"row {row}: unreadable CSV row" in err
         assert "field larger than field limit" in err
 
+    def test_diverged_fit_exits_4_and_writes_no_model(self, tmp_path, capsys):
+        # Five coordinates, 100 points per class and classes 1.5 apart per
+        # coordinate: the class-1 mean lies outside the class-0 sample's hull,
+        # the complete-case fit runs theta into the hundreds, and exp
+        # overflows in the normalizer.
+        rng = np.random.default_rng(0)
+        data, model = tmp_path / "far.csv", tmp_path / "model.txt"
+        dataio.write_dataset_csv(
+            data,
+            Dataset(rng.normal(0.0, 1.0, size=(100, 5)), 0),
+            Dataset(rng.normal(1.5, 1.0, size=(100, 5)), 1),
+        )
+        rc = cli.main(["fit", "--mode", "cckliep", "--data", str(data),
+                       "--out", str(model)])
+        assert rc == 4
+        assert "normalizing constant" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_learn_phi_negative_queries_exits_3(self, files):
         rc = cli.main(["learn-phi", "--data", files["train"], "--latent",
                        files["latent"], "--queries", "-1", "--out",
@@ -191,6 +209,7 @@ class TestMalformedModelFiles:
             ("theta", "theta = 0.1,abc"),
             ("theta", "theta = 0.1,0.2,0.3"),  # two features
             ("input_dim", "input_dim = two"),
+            ("normalizer", "normalizer = inf"),
         ],
     )
     def test_np_calibrate_on_bad_model_exits_3(self, files, key, line, capsys):
@@ -212,6 +231,7 @@ class TestMalformedModelFiles:
             ("degenerate", "degenerate = maybe"),
             ("model.theta", None),
             ("model.theta", "model.theta = 0.1,abc"),
+            ("model.normalizer", "model.normalizer = inf"),
         ],
     )
     def test_classify_on_bad_classifier_exits_3(self, files, key, line, capsys):
@@ -222,6 +242,139 @@ class TestMalformedModelFiles:
         assert rc == 3
         err = capsys.readouterr().err
         assert "data error" in err and key in err
+
+    @pytest.mark.parametrize("kind", ["model", "clf"])
+    def test_line_without_equals_exits_3(self, files, kind, capsys):
+        lines = Path(files[kind]).read_text().splitlines()
+        lines.insert(2, "stray words")
+        bad = files["dir"] / f"no-equals-{kind}.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        out = files["dir"] / f"no-equals-{kind}.out"
+        if kind == "model":
+            argv = ["np-calibrate", "--model", str(bad), "--calibration", files["cal"],
+                    "--alpha", "0.2", "--delta", "0.2", "--out", str(out)]
+        else:
+            argv = ["classify", "--classifier", str(bad), "--data", files["test"],
+                    "--out", str(out)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "line 3: expected 'key = value', got 'stray words'" in err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def command_inputs(files):
+    """A valid and a malformed file for each command's "{data}" argument."""
+    d = files["dir"]
+    bad_csv, cfg, bad_cfg = d / "exit-bad.csv", d / "exit.cfg", d / "exit-bad.cfg"
+    bad_csv.write_text("f0,f1,label\n1.0,abc,0\n2.0,3.0,1\n")
+    cfg.write_text("reps = 1\n")
+    bad_cfg.write_text("reps 1\n")  # no '='
+    table, empty_table = d / "exit-table.csv", d / "exit-empty-table.csv"
+    dataio.write_table_csv(table, [{"n": 50, "msd_mean": 0.1, "ci_half": 0.01}],
+                           meta={"command": "experiment-msd"})
+    empty_table.write_text("# command=experiment-msd\nn,msd_mean,ci_half\n")
+    csv_input = {"fit": "latent", "np-calibrate": "cal", "classify": "test",
+                 "learn-phi": "train", "corrupt": "latent", "preprocess": "latent"}
+    inputs = {command: (files[key], bad_csv) for command, key in csv_input.items()}
+    inputs["experiment"] = (cfg, bad_cfg)
+    inputs["emit-plot-data"] = (table, empty_table)
+    return {command: tuple(map(str, pair)) for command, pair in inputs.items()}
+
+
+# Per command: an argv that exits 0, with "{data}" at its input file, and a
+# required flag to drop.
+COMMANDS = {
+    "fit": (["fit", "--mode", "kliep", "--data", "{data}"], "--mode"),
+    "np-calibrate": (["np-calibrate", "--model", "{model}", "--calibration", "{data}",
+                      "--alpha", "0.2", "--delta", "0.2"], "--calibration"),
+    "classify": (["classify", "--classifier", "{clf}", "--data", "{data}"],
+                 "--classifier"),
+    "learn-phi": (["learn-phi", "--data", "{data}", "--latent", "{latent}",
+                   "--queries", "20"], "--queries"),
+    "corrupt": (["corrupt", "--preset", "paper-rwe", "--data", "{data}"], "--data"),
+    "preprocess": (["preprocess", "--normalize", "--data", "{data}"], "--data"),
+    "experiment": (["experiment", "msd", "--scenario", "gauss5d", "--n", "50",
+                    "--config", "{data}"], "--scenario"),
+    "emit-plot-data": (["emit-plot-data", "--table", "{data}"], "--table"),
+}
+
+
+class TestEveryCommand:
+    """The exit-code contract of each of the 8 commands: 0 ok, 2 usage, 3 data."""
+
+    @staticmethod
+    def _out(files, command):
+        return files["dir"] / f"every-{command}.out"
+
+    def _argv(self, files, command_inputs, command, bad=False, drop=None):
+        template, _ = COMMANDS[command]
+        paths = {"data": command_inputs[command][bad], "model": files["model"],
+                 "clf": files["clf"], "latent": files["latent"]}
+        argv = [arg.format(**paths) for arg in template]
+        if drop is not None:
+            i = argv.index(drop)
+            del argv[i : i + 2]
+        return argv + ["--out", str(self._out(files, command))]
+
+    @pytest.fixture(autouse=True)
+    def _no_leftover_output(self, files):
+        for command in COMMANDS:
+            self._out(files, command).unlink(missing_ok=True)
+
+    def test_commands_cover_the_parser(self):
+        assert sorted(COMMANDS) == sorted(
+            cli.build_parser()._subparsers._group_actions[0].choices
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_complete_argv_exits_0(self, files, command_inputs, command):
+        argv = self._argv(files, command_inputs, command)
+        assert cli.main(argv) == 0
+        assert self._out(files, command).exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_required_flag_exits_2(self, files, command_inputs, command, capsys):
+        flag = COMMANDS[command][1]
+        argv = self._argv(files, command_inputs, command, drop=flag)
+        assert cli.main(argv) == 2
+        assert f"{flag} is required" in capsys.readouterr().err
+        assert not self._out(files, command).exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_data_exits_3(self, files, command_inputs, command, capsys):
+        argv = self._argv(files, command_inputs, command, bad=True)
+        assert cli.main(argv) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not self._out(files, command).exists()
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("np-calibrate", ["--split", "0.5"]),
+            ("np-calibrate", ["--data", "f.csv"]),
+            ("np-calibrate", ["--seed", "1"]),
+            ("preprocess", ["--apply-transform", "t"]),
+        ],
+    )
+    def test_deleted_flag_exits_2(self, files, command_inputs, command, extra, capsys):
+        argv = self._argv(files, command_inputs, command) + extra
+        assert cli.main(argv) == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+        assert not self._out(files, command).exists()
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("np-calibrate", "split"), ("np-calibrate", "seed"), ("np-calibrate", "data"),
+         ("preprocess", "apply-transform")],
+    )
+    def test_deleted_config_key_exits_2(self, files, command_inputs, command, key, capsys):
+        cfg = files["dir"] / f"deleted-{key}.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        argv = self._argv(files, command_inputs, command) + ["--config", str(cfg)]
+        assert cli.main(argv) == 2
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+        assert not self._out(files, command).exists()
 
 
 class TestExperimentConfig:
@@ -321,6 +474,21 @@ class TestConfigFile:
         assert cli.main([*fit, "--config", cfg, "--out", str(d / "cfg-nb.txt")]) == 0
         assert cli.main([*fit, "--per-dim", "--out", str(d / "flag-nb.txt")]) == 0
         assert (d / "cfg-nb.txt").read_bytes() == (d / "flag-nb.txt").read_bytes()
+
+    def test_config_value_does_not_leak_into_the_next_call(self, files):
+        # The parser is built once per process; each call parses afresh.
+        assert cli.build_parser() is cli.build_parser()
+        d = files["dir"]
+        cfg = d / "leak.cfg"
+        cfg.write_text("normalize = true\n")
+        out = {}
+        for name, extra in (("before", []), ("config", ["--config", str(cfg)]),
+                            ("after", [])):
+            path = d / f"leak-{name}.csv"
+            assert cli.main(["preprocess", "--data", files["latent"], "--out",
+                             str(path), *extra]) == 0
+            out[name] = path.read_bytes()
+        assert out["before"] == out["after"] != out["config"]
 
     @pytest.mark.parametrize(
         "argv, text",

@@ -10,8 +10,8 @@ form as an oracle for the KLIEP gradient.
 import numpy as np
 import pytest
 
-from mnar_dre.kliep import FULLY_OBSERVED, _KliepCore, class_terms
-from mnar_dre.model import Dataset, FeatureMap
+from mnar_dre.kliep import ClassTerms, _KliepCore
+from mnar_dre.model import Dataset
 
 
 def _pair(rng, n, mu1=0.5, d=1):
@@ -19,6 +19,12 @@ def _pair(rng, n, mu1=0.5, d=1):
         Dataset(rng.normal(mu1, 1.0, size=(n, d)), 1),
         Dataset(rng.normal(0.0, 1.0, size=(n, d)), 0),
     )
+
+
+def _with_intercept(data):
+    """Unit-weight class terms of the features (z, 1)."""
+    f = np.hstack([data.values, np.ones((data.n, 1))])
+    return ClassTerms(f, np.ones(data.n), data.n, data.n)
 
 
 def _kl_variational_gradient(theta, f1, f0):
@@ -34,17 +40,11 @@ class TestObjective:
         # gradient (the only difference is log E[r] vs E[r] - const).
         rng = np.random.default_rng(8)
         d1, d0 = _pair(rng, 120, d=1)
-        fmap = FeatureMap.custom(
-            lambda z: np.hstack([z, np.ones((z.shape[0], 1))]), 1, 2
-        )
+        t1, t0 = _with_intercept(d1), _with_intercept(d0)
         theta = np.array([0.6, 0.0])
         # choose the intercept so (1/n0) sum exp(theta' f) = 1
         s = d0.values[:, 0] * theta[0]
         theta[1] = -np.log(np.mean(np.exp(s)))
-        kl_grad = _kl_variational_gradient(theta, fmap(d1.values), fmap(d0.values))
-        core = _KliepCore(
-            class_terms(d1, fmap, FULLY_OBSERVED, 1),
-            class_terms(d0, fmap, FULLY_OBSERVED, 0),
-        )
-        kliep_grad = core.loss_grad_hess(theta)[1]
+        kl_grad = _kl_variational_gradient(theta, t1.features, t0.features)
+        kliep_grad = _KliepCore(t1, t0).loss_grad_hess(theta)[1]
         assert kl_grad == pytest.approx(kliep_grad, abs=1e-8)

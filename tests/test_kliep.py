@@ -337,6 +337,14 @@ class TestNormalizingConstant:
         with pytest.raises(NumericError):
             normalizing_constant(model, d0, Mnar(phi, phi))
 
+    @pytest.mark.parametrize("theta", [1000.0, -1000.0])
+    def test_overflow_or_underflow_raises_numeric_error(self, theta):
+        # log N is about 1000 * 1.5 in magnitude: exp gives inf or 0.
+        model = LogLinearRatioModel(np.array([theta]), FeatureMap.identity(1))
+        d0 = Dataset(np.array([[1.0], [2.0]]), 0)
+        with pytest.raises(NumericError, match="not a finite positive number"):
+            normalizing_constant(model, d0, FULLY_OBSERVED)
+
     def test_missing_without_phi_rejected(self):
         model = LogLinearRatioModel(np.zeros(1), FeatureMap.identity(1))
         d0 = Dataset(np.array([[1.0], [np.nan]]), 0)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mnar_dre.model import (
-    CLAMP_COUNTER,
     ConstantProb,
     DataError,
     Dataset,
@@ -100,12 +99,10 @@ class TestMissingnessEntries:
         assert e.prob(z) == pytest.approx([0.9, 0.0, 0.0])
 
     def test_clamp_counter_increments(self):
-        CLAMP_COUNTER.reset()
         e = Tabulated(fn=lambda x: np.ones(np.atleast_1d(x).shape[0]) * 0.99999)
         with pytest.warns(RuntimeWarning, match="clamped"):
-            e.prob(np.zeros(7))
-        assert CLAMP_COUNTER.count == 7
-        CLAMP_COUNTER.reset()
+            p = e.prob(np.zeros(7))
+        assert np.array_equal(p, np.full(7, 1.0 - EPS_PHI))
 
     def test_constant_prob_validation(self):
         with pytest.raises(ValueError):
@@ -199,11 +196,6 @@ class TestFeatureMap:
         out = f(np.array([[2.0, 3.0]]))
         assert np.array_equal(out, [[2.0, 3.0, 4.0, 9.0]])
 
-    def test_custom_shape_checked(self):
-        f = FeatureMap.custom(lambda z: z[:, :1], input_dim=2, output_dim=2)
-        with pytest.raises(ValueError, match="shape"):
-            f(np.zeros((3, 2)))
-
     def test_refuses_missing(self):
         f = FeatureMap.identity(2)
         with pytest.raises(ValueError, match="missing"):
@@ -242,6 +234,11 @@ class TestLogLinearRatioModel:
     def test_normalizer_positive(self):
         with pytest.raises(ValueError):
             LogLinearRatioModel(np.zeros(1), FeatureMap.identity(1), normalizer=0.0)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_normalizer_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            LogLinearRatioModel(np.zeros(1), FeatureMap.identity(1), normalizer=value)
 
     def test_normalizer_shifts_log_ratio(self):
         m = LogLinearRatioModel(np.zeros(1), FeatureMap.identity(1))

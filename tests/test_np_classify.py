@@ -28,6 +28,10 @@ class TestDeltaMargin:
     def test_hand_evaluation(self):
         assert delta_margin(1000.0, 0.05) == pytest.approx(0.2190, abs=2e-4)
 
+    def test_infinite_sample_has_no_margin(self):
+        # The threshold tests below get a margin of exactly 0 this way.
+        assert delta_margin(math.inf, 0.1) == 0.0
+
     def test_delta_domain(self):
         with pytest.raises(ValueError):
             delta_margin(100.0, 0.6)
@@ -39,11 +43,11 @@ class TestDeltaMargin:
 
 class TestThresholdMissing:
     def test_reduces_to_empirical_quantile_without_margin(self):
-        # all weights 1, margin 0, alpha = 0.25: the inclusive tails are
-        # 1.0, 0.75, 0.5, 0.25 so the first qualifying index is 4.
+        # all weights 1, margin 0 (m_eff0 = inf), alpha = 0.25: the
+        # inclusive tails are 1.0, 0.75, 0.5, 0.25 so the first qualifying
+        # index is 4.
         res = threshold_missing(
-            np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4), 0.25, 0.5, 4.0,
-            margin_constant=0.0,
+            np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4), 0.25, 0.5, math.inf
         )
         assert res.value == 4.0
         assert res.order_index == 4
@@ -54,7 +58,7 @@ class TestThresholdMissing:
         # tails / 4: 1.0, 1.0, 0.5, 0.25 -> first <= 0.3 at i* = 4.
         scores = np.array([0.5, 1.5, 2.5, -np.inf])
         weights = np.array([2.0, 1.0, 1.0, 0.0])
-        res = threshold_missing(scores, weights, 0.3, 0.5, 2.0, margin_constant=0.0)
+        res = threshold_missing(scores, weights, 0.3, 0.5, math.inf)
         assert res.value == 2.5
         assert res.order_index == 4
 
@@ -62,8 +66,7 @@ class TestThresholdMissing:
         scores = np.full(4, -np.inf)
         weights = np.zeros(4)
         with pytest.warns(RuntimeWarning, match="every calibration point"):
-            res = threshold_missing(scores, weights, 0.5, 0.5, 4.0,
-                                    margin_constant=0.0)
+            res = threshold_missing(scores, weights, 0.5, 0.5, math.inf)
         assert res.value == -np.inf
         assert res.all_missing
         assert not res.degenerate
@@ -79,11 +82,11 @@ class TestThresholdMissing:
         rng = np.random.default_rng(0)
         scores = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0, -np.inf])
         weights = np.array([1.0, 2.0, 1.5, 1.0, 3.0, 1.0, 0.0])
-        base = threshold_missing(scores, weights, 0.6, 0.5, 4.0, margin_constant=0.0)
+        base = threshold_missing(scores, weights, 0.6, 0.5, math.inf)
         for _ in range(20):
             perm = rng.permutation(scores.size)
             res = threshold_missing(
-                scores[perm], weights[perm], 0.6, 0.5, 4.0, margin_constant=0.0
+                scores[perm], weights[perm], 0.6, 0.5, math.inf
             )
             assert res.value == base.value
 
@@ -91,8 +94,7 @@ class TestThresholdMissing:
         # scores [1, 1] with weights [1, 2]: the block-inclusive tail at value
         # 1 is 1.5, so a cutoff below that cannot select value 1 in any order.
         res = threshold_missing(
-            np.array([1.0, 1.0]), np.array([1.0, 2.0]), 0.6, 0.5, 2.0,
-            margin_constant=0.0,
+            np.array([1.0, 1.0]), np.array([1.0, 2.0]), 0.6, 0.5, math.inf
         )
         assert res.value == math.inf and res.degenerate
 
@@ -102,7 +104,7 @@ class TestThresholdMissing:
             scores = rng.normal(size=40)
             with_margin = threshold_missing(scores, np.ones(40), 0.3, 0.1, 40.0)
             without = threshold_missing(
-                scores, np.ones(40), 0.3, 0.1, 40.0, margin_constant=0.0
+                scores, np.ones(40), 0.3, 0.1, math.inf
             )
             assert with_margin.value >= without.value
 
@@ -255,18 +257,6 @@ class TestBuildClassifier:
         data = Dataset(np.ones((5, 1)), 1)
         with pytest.raises(DataError, match="class 0"):
             build_np_classifier(lambda z: z[:, 0], data, 0.1, 0.1)
-
-    def test_non_paper_flag(self):
-        rng = np.random.default_rng(7)
-        calib = Dataset(rng.normal(size=(300, 1)), 0)
-        clf = build_np_classifier(
-            lambda z: z[:, 0], calib, 0.3, 0.2, rule="missing", margin_constant=2.0
-        )
-        assert clf.non_paper
-        default = build_np_classifier(
-            lambda z: z[:, 0], calib, 0.3, 0.2, rule="missing"
-        )
-        assert not default.non_paper
 
 
 class TestTypeOneGuarantee:
