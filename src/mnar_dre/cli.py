@@ -343,18 +343,36 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _table_number(row: dict, key: str, row_num: int) -> int | float:
+    """``row[key]``, which ``read_table_csv`` leaves a string unless it parses
+    as a number; a string raises ``DataError`` naming the row and column."""
+    value = row[key]
+    if not isinstance(value, (int, float)):
+        raise DataError(
+            f"table row {row_num}: column {key!r} is not a number: {value!r}"
+        )
+    return value
+
+
 def _cmd_emit_plot_data(args) -> int:
     _require(args, "table", "out")
     rows, meta = dataio.read_table_csv(args.table)
     out_rows = []
-    for row in rows:
+    for row_num, row in enumerate(rows, start=1):
         new = dict(row)
         for stat, half in (("power_mean", "power_ci_half"), ("msd_mean", "ci_half")):
             if stat in row and half in row:
-                new[stat.replace("_mean", "_lo")] = row[stat] - row[half]
-                new[stat.replace("_mean", "_hi")] = row[stat] + row[half]
+                mean = _table_number(row, stat, row_num)
+                width = _table_number(row, half, row_num)
+                new[stat.replace("_mean", "_lo")] = mean - width
+                new[stat.replace("_mean", "_hi")] = mean + width
         if "n" in row:
-            new["log_n"] = float(np.log(row["n"]))
+            n = _table_number(row, "n", row_num)
+            if not n > 0:
+                raise DataError(
+                    f"table row {row_num}: column 'n' must be positive, got {n!r}"
+                )
+            new["log_n"] = float(np.log(n))
         out_rows.append(new)
     dataio.write_table_csv(args.out, out_rows, meta=meta)
     print(f"wrote {len(out_rows)} plot rows to {args.out}")

@@ -519,9 +519,10 @@ def rwe_preset(
 
 def _kv_from_text(text: str) -> dict[str, str]:
     """Parse the ``key = value`` lines of a config, model or classifier file;
-    ``#`` starts a comment.  A line without ``=`` raises ``DataError``
-    naming the line."""
+    ``#`` starts a comment.  A line without ``=``, or a key given twice,
+    raises ``DataError`` naming the lines."""
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for line_num, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -531,8 +532,18 @@ def _kv_from_text(text: str) -> dict[str, str]:
             raise DataError(
                 f"line {line_num}: expected 'key = value', got {stripped!r}"
             )
-        out[k.strip()] = v.strip()
+        k = k.strip()
+        _refuse_repeat(line_of, k, f"key {k!r}", line_num)
+        out[k] = v.strip()
     return out
+
+
+def _refuse_repeat(line_of: dict, key, what: str, line_num: int) -> None:
+    """Record that ``key`` is set on ``line_num``; a second setting raises
+    ``DataError`` naming both lines, since keeping either would be a guess."""
+    if key in line_of:
+        raise DataError(f"lines {line_of[key]} and {line_num}: {what} given twice")
+    line_of[key] = line_num
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -580,12 +591,15 @@ def missingness_to_text(phi: MissingnessFunction) -> str:
 def missingness_from_text(text: str) -> MissingnessFunction:
     entries_by_index: dict[int, object] = {}
     dims = None
+    line_of: dict[int | str, int] = {}
     for line_num, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         key, _, rest = stripped.partition("=")
         key, rest = key.strip(), rest.strip()
+        if key == "dims":
+            _refuse_repeat(line_of, key, "dims", line_num)
         # Any unparsable field, missing part or bad value lands in the except.
         try:
             if key == "dims":
@@ -618,6 +632,7 @@ def missingness_from_text(text: str) -> MissingnessFunction:
             raise DataError(
                 f"line {line_num}: malformed missingness entry {stripped!r} ({exc})"
             ) from None
+        _refuse_repeat(line_of, j, f"coordinate {j}", line_num)
     if dims is None:
         dims = (max(entries_by_index) + 1) if entries_by_index else 0
     if dims < 1:

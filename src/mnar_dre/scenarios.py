@@ -8,8 +8,11 @@ exact tools used throughout the experiments:
   the normals under all components, and each row keeps its own component's
   transform plus that component's mean,
 * the analytic log density ratio for oracle classifiers: each component's
-  log density is log_norm_k - |(z - mu_k) W_k|^2 / 2 with the whitening
-  factor W_k = inv(L_k)', and the components are combined with logaddexp,
+  log density is log_norm_k - |W_k' z' - W_k' mu_k'|^2 / 2 with the whitening
+  factor W_k = inv(L_k)'.  The points are evaluated component-major: one
+  matmul against every W_k' stacked row-wise gives a (k d, n) array whose
+  rows run over the points, one (k, k d) block matmul sums each component's
+  squares, and the k rows of log densities are combined with logaddexp,
 * the exact population fit objective via the Gaussian MGF
   E[exp(theta'Z)] = sum_k w_k exp(theta'mu_k + theta'Sigma_k theta / 2),
   from which the population-optimal parameter is computed by convex
@@ -59,14 +62,22 @@ class GaussianMixture:
         if not np.isclose(w.sum(), 1.0):
             raise ValueError("mixture weights must sum to 1")
         chols = np.linalg.cholesky(c)  # LinAlgError (a ValueError) unless PD
-        d = m.shape[1]
+        k, d = m.shape
         log_diag = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "covs", c)
-        # (z - mu_k) @ W_k is standard normal under component k: W_k = inv(L_k)'.
+        # W_k' (z - mu_k)' is standard normal under component k, W_k = inv(L_k)'.
+        # Component-major: every inv(L_k) = W_k' stacked row-wise, the offset
+        # column of every W_k' mu_k', and a (k, k d) block matrix of -1/2 that
+        # sums each component's d squared coordinates.
+        inv_chols = np.linalg.inv(chols)
+        object.__setattr__(self, "_whiten_rows", inv_chols.reshape(k * d, d))
         object.__setattr__(
-            self, "_whiten", np.linalg.inv(chols).transpose(0, 2, 1)
+            self, "_whiten_offsets", (inv_chols @ m[:, :, None]).reshape(k * d, 1)
+        )
+        object.__setattr__(
+            self, "_half_sums", np.kron(np.eye(k), np.full((1, d), -0.5))
         )
         # log w_k - log sqrt((2 pi)^d det Sigma_k), with log det = 2 sum log diag L_k.
         object.__setattr__(
@@ -97,11 +108,14 @@ class GaussianMixture:
 
     def log_pdf(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        out = None
-        for k in range(self.weights.size):
-            u = (z - self.means[k]) @ self._whiten[k]
-            part = self._log_norm[k] - 0.5 * np.einsum("ij,ij->i", u, u)
-            out = part if out is None else np.logaddexp(out, part)
+        u = self._whiten_rows @ z.T  # (k d, n): row i d + j is coordinate j under i
+        u -= self._whiten_offsets
+        u *= u
+        parts = self._half_sums @ u  # (k, n)
+        parts += self._log_norm[:, None]
+        out = parts[0]
+        for part in parts[1:]:
+            out = np.logaddexp(out, part)
         return out
 
     def mean(self) -> np.ndarray:

@@ -116,6 +116,8 @@ class TestMissingnessText:
             "-1 = zero",
             "5 = zero",
             "0 =",
+            "dims = 3",  # a second dims line
+            "0 = zero\n00 = constant 0.5",  # coordinate 0 twice
         ],
     )
     def test_malformed_line_exits_3(self, files, line, capsys):
@@ -259,6 +261,28 @@ class TestMalformedModelFiles:
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert "line 3: expected 'key = value', got 'stray words'" in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("kind", ["model", "clf"])
+    def test_repeated_key_exits_3(self, files, kind, capsys):
+        # The second line must not silently win over the fitted one.
+        key = "theta" if kind == "model" else "model.theta"
+        lines = Path(files[kind]).read_text().splitlines()
+        first = 1 + next(i for i, line in enumerate(lines) if line.startswith(key + " "))
+        lines.append(f"{key} = 5.0,5.0")
+        bad = files["dir"] / f"repeated-{kind}.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        out = files["dir"] / f"repeated-{kind}.out"
+        if kind == "model":
+            argv = ["np-calibrate", "--model", str(bad), "--calibration", files["cal"],
+                    "--alpha", "0.2", "--delta", "0.2", "--out", str(out)]
+        else:
+            argv = ["classify", "--classifier", str(bad), "--data", files["test"],
+                    "--out", str(out)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"lines {first} and {len(lines)}: key {key!r} given twice" in err
         assert not out.exists()
 
 
@@ -509,6 +533,14 @@ class TestConfigFile:
         assert f"config key {text.split(' = ')[0]!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_key_exits_3(self, files, capsys):
+        cfg = self._config(files, "repeated", "reps = 1\n# reps again\nreps = 2\n")
+        out = files["dir"] / "unused-repeated.csv"
+        assert cli.main(["experiment", "msd", "--scenario", "gauss5d", "--n", "50",
+                         "--config", cfg, "--out", str(out)]) == 3
+        assert "lines 1 and 3: key 'reps' given twice" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStrictFlag:
     """``--strict`` belongs to ``fit``, the only command that reads it."""
@@ -581,6 +613,24 @@ def test_meta_value_with_spaces_round_trips_through_emit_plot_data(files, tmp_pa
     assert labels.read_text().startswith(meta_line)
     assert plot.read_text().startswith(meta_line)
     assert dataio.read_table_csv(plot)[1] == {"classifier": str(clf)}
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("50,0.1,0.01\nabc,0.1,0.01", "table row 2: column 'n' is not a number: 'abc'"),
+        ("50,x,0.01", "table row 1: column 'msd_mean' is not a number: 'x'"),
+        ("50,0.1,", "table row 1: column 'ci_half' is not a number: ''"),
+        ("-5,0.1,0.01", "table row 1: column 'n' must be positive, got -5"),
+        ("0,0.1,0.01", "table row 1: column 'n' must be positive, got 0"),
+    ],
+)
+def test_emit_plot_data_on_a_bad_field_exits_3(tmp_path, body, message, capsys):
+    table, plot = tmp_path / "table.csv", tmp_path / "plot.csv"
+    table.write_text(f"# command=experiment-msd\nn,msd_mean,ci_half\n{body}\n")
+    assert cli.main(["emit-plot-data", "--table", str(table), "--out", str(plot)]) == 3
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not plot.exists()
 
 
 def test_strict_fit_on_well_posed_data_exits_0(tmp_path):

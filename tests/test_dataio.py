@@ -12,7 +12,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mnar_dre import cli, dataio, np_classify
-from mnar_dre.model import Dataset, DataError, FeatureMap, LogLinearRatioModel
+from mnar_dre.model import (
+    ConstantProb,
+    Dataset,
+    DataError,
+    FeatureMap,
+    HalfspaceIndicator,
+    LogisticScalar,
+    LogLinearRatioModel,
+    MissingnessFunction,
+    Zero,
+)
+from mnar_dre.naive_bayes import NaiveBayesRatioModel
 
 
 def _csv(tmp_path, text: str, name: str = "data.csv") -> str:
@@ -374,3 +385,60 @@ def test_classify_output_matches_the_dictwriter_oracle(tmp_path):
         for s, lab in zip(clf.score_fn(ds.values), np_classify.classify(clf, ds.values))
     ]
     assert out.read_bytes() == _oracle_table(rows, {"classifier": str(clf_path)})
+
+
+def _text_forms():
+    """(text, reader, writer) for every key = value file the package writes."""
+    rng = np.random.default_rng(9)
+    calibration = Dataset(rng.normal(size=(300, 2)), 0)
+    identity = LogLinearRatioModel(theta=np.array([0.8, -0.3]),
+                                   feature_map=FeatureMap.identity(2), normalizer=1.25)
+    squares = LogLinearRatioModel(theta=np.array([0.1, 0.2, -0.3, 0.4]),
+                                  feature_map=FeatureMap.identity_plus_squares(2),
+                                  converged=False)
+    naive = NaiveBayesRatioModel(per_dim=tuple(
+        LogLinearRatioModel(theta=np.array([t]), feature_map=FeatureMap.identity(1),
+                            normalizer=1.0 + t)
+        for t in (0.5, -0.7)
+    ))
+    phi = MissingnessFunction.per_coordinate([
+        Zero(), ConstantProb(p=0.3), LogisticScalar(a0=-0.5, a1=1.5, tau=-1),
+        HalfspaceIndicator(direction=np.array([-1.0]), level=0.5, p=0.8),
+    ])
+    forms = [pytest.param(dataio.missingness_to_text(phi), dataio.missingness_from_text,
+                          dataio.missingness_to_text, id="missingness")]
+    for name, model in (("log-linear", identity), ("squares", squares),
+                        ("naive-bayes", naive)):
+        clf = np_classify.build_np_classifier(model, calibration, 0.2, 0.2)
+        forms += [
+            pytest.param(dataio.model_to_text(model), dataio.model_from_text,
+                         dataio.model_to_text, id=f"model-{name}"),
+            pytest.param(dataio.classifier_to_text(clf), dataio.classifier_from_text,
+                         dataio.classifier_to_text, id=f"classifier-{name}"),
+        ]
+    return forms
+
+
+@pytest.mark.parametrize("text, read, write", _text_forms())
+def test_text_forms_write_each_key_once_and_round_trip(text, read, write):
+    keys = [line.partition(" = ")[0] for line in text.splitlines()]
+    assert len(keys) == len(set(keys)) > 1
+    assert write(read(text)) == text
+
+
+def test_repeated_key_names_both_lines():
+    with pytest.raises(DataError, match="lines 1 and 4: key 'a' given twice"):
+        dataio._kv_from_text("a = 1\nb = 2\n# a = 3\na = 3\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dims = 2\n0 = zero\ndims = 2\n", "lines 1 and 3: dims given twice"),
+        ("dims = 2\n1 = zero\n01 = constant 0.5\n",
+         "lines 2 and 3: coordinate 1 given twice"),
+    ],
+)
+def test_missingness_repeat_names_both_lines(text, message):
+    with pytest.raises(DataError, match=message):
+        dataio.missingness_from_text(text)

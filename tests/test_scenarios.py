@@ -137,27 +137,110 @@ def _masked_sample(mix, n, rng):
     return out
 
 
+def _component_loop_log_pdf(mix, z):
+    """The per-component row-major loop, kept as an oracle: one (n, d)
+    whitening per component, folded with logaddexp."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    out = None
+    for w, mu, cov in zip(mix.weights, mix.means, mix.covs):
+        chol = np.linalg.cholesky(cov)
+        u = (z - mu) @ np.linalg.inv(chol).T
+        log_det_half = np.log(np.diag(chol)).sum()
+        log_norm = np.log(w) - log_det_half - 0.5 * mix.dim * np.log(2 * np.pi)
+        part = log_norm - 0.5 * np.einsum("ij,ij->i", u, u)
+        out = part if out is None else np.logaddexp(out, part)
+    return out
+
+
+def _scipy_log_pdf(mix, z):
+    from scipy.special import logsumexp
+    from scipy.stats import multivariate_normal as mvn
+
+    z = np.atleast_2d(z)
+    parts = [
+        np.log(w) + np.atleast_1d(mvn.logpdf(z, mean=mu, cov=cov))
+        for w, mu, cov in zip(mix.weights, mix.means, mix.covs)
+    ]
+    return logsumexp(np.column_stack(parts), axis=1)
+
+
+def _three_component_mixture():
+    """d = 3, unequal weights, non-diagonal covariances."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 3, 3))
+    return GaussianMixture(
+        weights=np.array([0.2, 0.5, 0.3]),
+        means=rng.normal(scale=2.0, size=(3, 3)),
+        covs=a @ a.transpose(0, 2, 1) + 0.5 * np.eye(3),
+    )
+
+
+def _far_points(dim):
+    """Scattered points, then far ones where every linear-space density
+    underflows to 0."""
+    z = np.random.default_rng(11).normal(scale=2.0, size=(200, dim))
+    far = 40.0 * np.eye(dim)
+    return np.vstack([z, far, -far])
+
+
 class TestGaussianMixture:
     @pytest.mark.parametrize("sc", _scenarios(), ids=lambda sc: sc.name)
     def test_log_pdf_matches_scipy_components(self, sc):
-        from scipy.special import logsumexp
         from scipy.stats import multivariate_normal as mvn
 
-        rng = np.random.default_rng(11)
-        z = rng.normal(scale=2.0, size=(200, sc.dim))
-        # Far points: every linear-space density underflows to 0 here.
-        far = 40.0 * np.eye(sc.dim)
-        z = np.vstack([z, far, -far])
+        z = _far_points(sc.dim)
+        far = z[-2 * sc.dim : -sc.dim]
         assert not np.any(mvn.pdf(far, sc.class1.means[0], sc.class1.covs[0]))
         for mix in (sc.class1, sc.class0):
-            parts = [
-                np.log(w) + mvn.logpdf(z, mean=mu, cov=cov)
-                for w, mu, cov in zip(mix.weights, mix.means, mix.covs)
-            ]
-            expected = logsumexp(np.column_stack(parts), axis=1)
             got = mix.log_pdf(z)
             assert np.all(np.isfinite(got))
-            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got, _scipy_log_pdf(mix, z), rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(
+                got, _component_loop_log_pdf(mix, z), rtol=1e-12, atol=0.0
+            )
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["scattered", "far", "single-point", "fortran-order", "column-sliced"],
+    )
+    def test_log_pdf_matches_the_component_loop_and_scipy(self, layout):
+        mix = _three_component_mixture()
+        z = _far_points(3)
+        if layout == "scattered":
+            z = z[:200]
+        elif layout == "single-point":
+            z = z[7]
+        elif layout == "fortran-order":
+            z = np.asfortranarray(z)
+        elif layout == "column-sliced":
+            wide = np.zeros((z.shape[0], 6))
+            wide[:, ::2] = z
+            z = wide[:, ::2]
+            assert not z.flags.c_contiguous and not z.flags.f_contiguous
+        got = mix.log_pdf(z)
+        assert got.shape == (np.atleast_2d(z).shape[0],)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, _scipy_log_pdf(mix, z), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            got, _component_loop_log_pdf(mix, z), rtol=1e-12, atol=0.0
+        )
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_log_pdf_of_no_points_is_empty(self, k):
+        mix = _three_component_mixture() if k == 3 else make_scenario("gauss5d").class0
+        z = np.empty((0, mix.dim))
+        assert mix.log_pdf(z).shape == (0,)
+        assert _component_loop_log_pdf(mix, z).shape == (0,)
+
+    @pytest.mark.parametrize("sc", _scenarios(), ids=lambda sc: sc.name)
+    def test_true_log_ratio_matches_the_component_loop(self, sc):
+        z = np.random.default_rng(13).normal(scale=2.0, size=(2000, sc.dim))
+        expected = _component_loop_log_pdf(sc.class1, z) - _component_loop_log_pdf(
+            sc.class0, z
+        )
+        np.testing.assert_allclose(
+            sc.true_log_ratio(z), expected, rtol=1e-12, atol=1e-13
+        )
 
     @pytest.mark.parametrize(
         "name",
