@@ -15,7 +15,6 @@ from .model import (
     LogLinearRatioModel,
     MissingnessFunction,
     NumericError,
-    Tabulated,
     Zero,
 )
 from .weighting import point_importance_weights
@@ -48,7 +47,6 @@ from .scenarios import (
     generate,
     make_scenario,
     population_theta,
-    population_theta_plugin,
 )
 from .experiments import (
     MsdConfig,

@@ -18,8 +18,9 @@ byte-identical.  Flags override values from an optional ``--config`` file of
 4 numeric failure.
 
 ``np-calibrate`` reads its class-0 calibration sample from its own
-``--calibration`` file.  The NP Type I guarantee holds only when that sample
-is drawn independently of the data the model was fitted on.
+``--calibration`` file; class-1 rows there are ignored, and a file of
+class-0 rows alone will do.  The NP Type I guarantee holds only when that
+sample is drawn independently of the data the model was fitted on.
 """
 
 from __future__ import annotations
@@ -191,7 +192,10 @@ def _cmd_np_calibrate(args) -> int:
     with open(args.model) as fh:
         model = dataio.model_from_text(fh.read())
     class0, _class1 = dataio.read_dataset_csv(
-        args.calibration, args.missing_token or "NA", args.label_column or "label"
+        args.calibration,
+        args.missing_token or "NA",
+        args.label_column or "label",
+        require_class1=False,
     )
     phi0 = _read_phi(args.phi0)
     clf = build_np_classifier(

@@ -173,8 +173,12 @@ def read_dataset_csv(
     missing_token: str = "NA",
     label_column: str = "label",
     allow_empty: bool = True,
-) -> tuple[Dataset, Dataset]:
+    require_class1: bool = True,
+) -> tuple[Dataset, Dataset | None]:
     """Read a labelled CSV into a (class0, class1) dataset pair.
+
+    Both classes must have rows.  With ``require_class1=False`` only class 0
+    must, and a file without class-1 rows gives None for class 1.
 
     The first row is a header that names ``label_column``.  Every other row
     has one field per header name: a label ``0`` or ``1``, and feature fields
@@ -202,9 +206,11 @@ def read_dataset_csv(
             next(reader)
             parts = _read_rows(reader, header, label_idx, missing_token, allow_empty)
     values0, values1 = parts
-    if not len(values0) or not len(values1):
+    if require_class1 and not (len(values0) and len(values1)):
         raise DataError("both classes must be present in the file")
-    return Dataset(values0, 0), Dataset(values1, 1)
+    if not len(values0):
+        raise DataError(f"no class-0 rows ({label_column} = 0) in the file")
+    return Dataset(values0, 0), Dataset(values1, 1) if len(values1) else None
 
 
 def write_dataset_csv(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -180,24 +180,6 @@ class HalfspaceIndicator:
 
     def sup_prob(self) -> float:
         return min(self.p, 1.0 - EPS_PHI)
-
-
-@dataclass(frozen=True, eq=False)
-class Tabulated:
-    """Missingness backed by an arbitrary callable lookup."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    name: str = "tabulated"
-
-    def prob(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(self.fn(x), dtype=float)
-        if out.shape != (x.shape[0],):
-            out = np.broadcast_to(out, (x.shape[0],)).astype(float)
-        return clamp_missing_prob(out)
-
-    def sup_prob(self) -> float:
-        return 1.0 - EPS_PHI  # unknown; conservative
 
 
 MissingnessEntry = object  # duck-typed: needs .prob() and .sup_prob()

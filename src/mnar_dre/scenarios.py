@@ -6,13 +6,15 @@ exact tools used throughout the experiments:
 * sampling: component labels and standard normals are drawn, then one
   matmul against every component's stacked Cholesky factor L_k' transforms
   the normals under all components, and each row keeps its own component's
-  transform plus that component's mean,
+  transform plus that component's mean.  The labels come from the same
+  uniform draw, and so the same stream, as ``rng.choice(k, size=n, p=w)``,
 * the analytic log density ratio for oracle classifiers: each component's
   log density is log_norm_k - |W_k' z' - W_k' mu_k'|^2 / 2 with the whitening
   factor W_k = inv(L_k)'.  The points are evaluated component-major: one
   matmul against every W_k' stacked row-wise gives a (k d, n) array whose
-  rows run over the points, one (k, k d) block matmul sums each component's
-  squares, and the k rows of log densities are combined with logaddexp,
+  rows run over the points, each component's d rows of squares are summed,
+  and the k rows of log densities are combined by one max-shifted
+  log-sum-exp over the components,
 * the exact population fit objective via the Gaussian MGF
   E[exp(theta'Z)] = sum_k w_k exp(theta'mu_k + theta'Sigma_k theta / 2),
   from which the population-optimal parameter is computed by convex
@@ -59,37 +61,46 @@ class GaussianMixture:
         c = np.asarray(self.covs, dtype=float)
         if c.ndim == 2:
             c = c[None, :, :]
-        if not np.isclose(w.sum(), 1.0):
+        k, d = m.shape
+        # The checks rng.choice(k, p=w) makes, which sample no longer calls.
+        if w.shape != (k,):
+            raise ValueError("mixture weights must be one per component")
+        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+            raise ValueError("mixture weights must be finite and non-negative")
+        if abs(w.sum() - 1.0) > np.sqrt(np.finfo(float).eps):
             raise ValueError("mixture weights must sum to 1")
         chols = np.linalg.cholesky(c)  # LinAlgError (a ValueError) unless PD
-        k, d = m.shape
         log_diag = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "covs", c)
         # W_k' (z - mu_k)' is standard normal under component k, W_k = inv(L_k)'.
-        # Component-major: every inv(L_k) = W_k' stacked row-wise, the offset
-        # column of every W_k' mu_k', and a (k, k d) block matrix of -1/2 that
-        # sums each component's d squared coordinates.
+        # Component-major: every inv(L_k) = W_k' stacked row-wise, and the
+        # offset column of every W_k' mu_k'.
         inv_chols = np.linalg.inv(chols)
         object.__setattr__(self, "_whiten_rows", inv_chols.reshape(k * d, d))
         object.__setattr__(
             self, "_whiten_offsets", (inv_chols @ m[:, :, None]).reshape(k * d, 1)
         )
-        object.__setattr__(
-            self, "_half_sums", np.kron(np.eye(k), np.full((1, d), -0.5))
-        )
-        # log w_k - log sqrt((2 pi)^d det Sigma_k), with log det = 2 sum log diag L_k.
+        # log w_k - log sqrt((2 pi)^d det Sigma_k), with log det = 2 sum log diag L_k;
+        # a zero weight gives -inf.
+        with np.errstate(divide="ignore"):
+            log_w = np.log(w)
         object.__setattr__(
             self,
             "_log_norm",
-            np.log(w) - 0.5 * (2.0 * log_diag + d * np.log(2.0 * np.pi)),
+            log_w - 0.5 * (2.0 * log_diag + d * np.log(2.0 * np.pi)),
         )
         # Every component's L_k' side by side: one matmul transforms a draw
         # under all components at once.
         object.__setattr__(
             self, "_chols_t_stacked", np.concatenate(chols.transpose(0, 2, 1), axis=1)
         )
+        # rng.choice's normalized cdf: a uniform u picks the component that
+        # searchsorted(cdf, u, side="right") would.
+        cdf = w.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
 
     @property
     def dim(self) -> int:
@@ -97,7 +108,14 @@ class GaussianMixture:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         k, d = self.weights.size, self.dim
-        comp = rng.choice(k, size=n, p=self.weights)
+        # rng.choice(k, size=n, p=w) without its searchsorted: the same
+        # random(n) draw, so the same labels and the same generator state.
+        # Draw i's component is the number of cdf[:-1] entries at or below u_i.
+        u = rng.random(n)
+        comp = np.zeros(n, dtype=np.intp)
+        for edge in self._cdf[:-1]:
+            comp += u >= edge
+        del u  # freed before the normals: a smaller peak, see log_pdf
         eps = rng.standard_normal((n, d))
         # Row i of the (n * k, d) candidates is draw i // k under component
         # i % k; one flat take keeps each draw's own component.
@@ -108,14 +126,29 @@ class GaussianMixture:
 
     def log_pdf(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
+        k, d, n = self.weights.size, self.dim, z.shape[0]
         u = self._whiten_rows @ z.T  # (k d, n): row i d + j is coordinate j under i
         u -= self._whiten_offsets
-        u *= u
-        parts = self._half_sums @ u  # (k, n)
-        parts += self._log_norm[:, None]
-        out = parts[0]
-        for part in parts[1:]:
-            out = np.logaddexp(out, part)
+        # Far points overflow the squares to inf and their log density to
+        # -inf; no 0 * inf or inf - inf is ever formed, so no NaN either.
+        with np.errstate(over="ignore", divide="ignore"):
+            u *= u
+            parts = u.reshape(k, d, n).sum(axis=1)  # (k, n)
+            # Free the (k d, n) array before the fold allocates: a smaller
+            # peak keeps the allocator from handing pages back to the OS and
+            # faulting them in again on every call.
+            del u
+            parts *= -0.5
+            parts += self._log_norm[:, None]
+            # log sum_k exp(parts_k), shifted by each column's max; a column
+            # that is -inf throughout is shifted by 0, as in scipy's logsumexp.
+            top = parts.max(axis=0)
+            top[top == -np.inf] = 0.0
+            parts -= top
+            np.exp(parts, out=parts)
+            out = parts.sum(axis=0)
+            np.log(out, out=out)
+        out += top
         return out
 
     def mean(self) -> np.ndarray:
@@ -129,7 +162,8 @@ class GaussianMixture:
                 for th_mu, cov in zip(self.means @ theta, self.covs)
             ]
         )
-        a = np.log(self.weights) + exps
+        with np.errstate(divide="ignore"):  # a zero weight adds exp(-inf) = 0
+            a = np.log(self.weights) + exps
         m = a.max()
         e = np.exp(a - m)
         total = e.sum()
@@ -351,39 +385,3 @@ def population_theta(scenario: Scenario, tol: float = 1e-12) -> np.ndarray:
         options={"gtol": tol, "ftol": 0.0, "maxiter": 10_000},
     )
     return np.asarray(res.x, dtype=float)
-
-
-def population_theta_plugin(
-    scenario: Scenario,
-    n_draws: int = 1_000_000,
-    seed: int = 0,
-    restarts: int = 3,
-) -> np.ndarray:
-    """Plug-in variant of the oracle: exact expectations replaced by a large
-    simulated sample.  Retained as an independent cross-check of
-    ``population_theta``; agreement is Monte Carlo limited (~n_draws^-1/2).
-    """
-    rng = np.random.default_rng(seed)
-    z1 = scenario.class1.sample(n_draws, rng)
-    z0 = scenario.class0.sample(n_draws, rng)
-    mean1 = z1.mean(axis=0)
-
-    def value_and_grad(theta):
-        s = z0 @ theta
-        m = s.max()
-        e = np.exp(s - m)
-        total = e.sum()
-        loss = -theta @ mean1 + m + np.log(total / n_draws)
-        grad = -mean1 + (e @ z0) / total
-        return float(loss), grad
-
-    best = None
-    for k in range(restarts):
-        x0 = np.zeros(scenario.dim) if k == 0 else rng.normal(scale=0.5, size=scenario.dim)
-        res = minimize(
-            value_and_grad, x0, jac=True, method="L-BFGS-B",
-            options={"gtol": 1e-10, "maxiter": 10_000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    return np.asarray(best.x, dtype=float)

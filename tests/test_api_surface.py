@@ -15,10 +15,7 @@ import mnar_dre
 PACKAGE_DIR = Path(mnar_dre.__file__).parent
 
 # Exported names no package module loads, each with why it stays public.
-ALLOWED_UNUSED = {
-    "population_theta_plugin": "simulation cross-check of the exact population oracle",
-    "Tabulated": "callable-backed missingness for tests and user-defined phi",
-}
+ALLOWED_UNUSED: dict[str, str] = {}
 
 
 def _loaded_names() -> set[str]:

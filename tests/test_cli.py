@@ -692,3 +692,23 @@ def test_fit_calibrate_classify_chain_reruns_byte_identical(files):
             assert cli.main(argv) == 0, argv
         outputs.append({k: Path(v).read_bytes() for k, v in p.items()})
     assert outputs[0] == outputs[1]
+
+
+def test_np_calibrate_reads_a_class0_only_calibration_file(files, capsys):
+    # np-calibrate uses the calibration file's class-0 rows only, so a file
+    # of class-0 rows alone calibrates the same classifier as the full file.
+    d = files["dir"]
+    header, *rows = Path(files["cal"]).read_text().splitlines(keepends=True)
+    cal0, cal1 = d / "cal0.csv", d / "cal1.csv"
+    cal0.write_text(header + "".join(r for r in rows if r.rstrip().endswith(",0")))
+    cal1.write_text(header + "".join(r for r in rows if r.rstrip().endswith(",1")))
+    model, clf = d / "cal0-model.txt", d / "cal0-clf.txt"
+    assert cli.main(["fit", "--mode", "kliep", "--data", files["latent"],
+                     "--out", str(model)]) == 0
+    calibrate = ["np-calibrate", "--model", str(model), "--alpha", "0.2",
+                 "--delta", "0.2", "--out", str(clf), "--calibration"]
+    assert cli.main(calibrate + [str(cal0)]) == 0
+    assert clf.read_bytes() == Path(files["clf"]).read_bytes()
+    capsys.readouterr()
+    assert cli.main(calibrate + [str(cal1)]) == 3
+    assert "no class-0 rows (label = 0)" in capsys.readouterr().err

@@ -22,9 +22,10 @@ from mnar_dre.model import (
     LogLinearRatioModel,
     MissingnessFunction,
     NumericError,
-    Tabulated,
     Zero,
 )
+
+from testkit import Tabulated
 
 
 def sample_objective(theta, class1, class0, fmap, mode):

@@ -12,10 +12,11 @@ from mnar_dre.model import (
     LogisticScalar,
     LogLinearRatioModel,
     MissingnessFunction,
-    Tabulated,
     Zero,
 )
 from mnar_dre.np_classify import build_np_classifier, delta_margin
+
+from testkit import Tabulated
 
 
 def _weighted_rule_margin(n, phi0=None, delta=0.2):

@@ -8,8 +8,9 @@ from mnar_dre.scenarios import (
     make_scenario,
     population_objective,
     population_theta,
-    population_theta_plugin,
 )
+
+from testkit import population_theta_plugin
 
 
 class TestGenerate:
@@ -147,7 +148,8 @@ def _component_loop_log_pdf(mix, z):
         u = (z - mu) @ np.linalg.inv(chol).T
         log_det_half = np.log(np.diag(chol)).sum()
         log_norm = np.log(w) - log_det_half - 0.5 * mix.dim * np.log(2 * np.pi)
-        part = log_norm - 0.5 * np.einsum("ij,ij->i", u, u)
+        with np.errstate(over="ignore"):
+            part = log_norm - 0.5 * np.einsum("ij,ij->i", u, u)
         out = part if out is None else np.logaddexp(out, part)
     return out
 
@@ -157,10 +159,11 @@ def _scipy_log_pdf(mix, z):
     from scipy.stats import multivariate_normal as mvn
 
     z = np.atleast_2d(z)
-    parts = [
-        np.log(w) + np.atleast_1d(mvn.logpdf(z, mean=mu, cov=cov))
-        for w, mu, cov in zip(mix.weights, mix.means, mix.covs)
-    ]
+    with np.errstate(over="ignore"):
+        parts = [
+            np.log(w) + np.atleast_1d(mvn.logpdf(z, mean=mu, cov=cov))
+            for w, mu, cov in zip(mix.weights, mix.means, mix.covs)
+        ]
     return logsumexp(np.column_stack(parts), axis=1)
 
 
@@ -183,6 +186,17 @@ def _far_points(dim):
     return np.vstack([z, far, -far])
 
 
+def _overflow_points(dim):
+    """Finite points whose squared whitened coordinates overflow to inf, so
+    every log density is -inf: [1e200, 0], [0, -1e200] and [1e300, 1e300],
+    padded with zeros or 1e300 to ``dim`` coordinates."""
+    z = np.zeros((3, dim))
+    z[0, 0] = 1e200
+    z[1, 1 % dim] = -1e200
+    z[2] = 1e300
+    return z
+
+
 class TestGaussianMixture:
     @pytest.mark.parametrize("sc", _scenarios(), ids=lambda sc: sc.name)
     def test_log_pdf_matches_scipy_components(self, sc):
@@ -191,9 +205,11 @@ class TestGaussianMixture:
         z = _far_points(sc.dim)
         far = z[-2 * sc.dim : -sc.dim]
         assert not np.any(mvn.pdf(far, sc.class1.means[0], sc.class1.covs[0]))
+        z = np.vstack([z, _overflow_points(sc.dim)])
         for mix in (sc.class1, sc.class0):
             got = mix.log_pdf(z)
-            assert np.all(np.isfinite(got))
+            assert np.all(np.isfinite(got[:-3]))
+            assert np.all(got[-3:] == -np.inf)
             np.testing.assert_allclose(got, _scipy_log_pdf(mix, z), rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(
                 got, _component_loop_log_pdf(mix, z), rtol=1e-12, atol=0.0
@@ -201,13 +217,16 @@ class TestGaussianMixture:
 
     @pytest.mark.parametrize(
         "layout",
-        ["scattered", "far", "single-point", "fortran-order", "column-sliced"],
+        ["scattered", "far", "overflow", "single-point", "fortran-order",
+         "column-sliced"],
     )
     def test_log_pdf_matches_the_component_loop_and_scipy(self, layout):
         mix = _three_component_mixture()
         z = _far_points(3)
         if layout == "scattered":
             z = z[:200]
+        elif layout == "overflow":
+            z = _overflow_points(3)
         elif layout == "single-point":
             z = z[7]
         elif layout == "fortran-order":
@@ -219,7 +238,10 @@ class TestGaussianMixture:
             assert not z.flags.c_contiguous and not z.flags.f_contiguous
         got = mix.log_pdf(z)
         assert got.shape == (np.atleast_2d(z).shape[0],)
-        assert np.all(np.isfinite(got))
+        if layout == "overflow":
+            assert np.all(got == -np.inf)
+        else:
+            assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, _scipy_log_pdf(mix, z), rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
             got, _component_loop_log_pdf(mix, z), rtol=1e-12, atol=0.0
@@ -253,10 +275,88 @@ class TestGaussianMixture:
         # the component labels, or the normals come from another stream.
         sc = make_scenario(name, 0.3 if name in ("nb-rho", "vary-misspec") else 0.0)
         for mix in (sc.class1, sc.class0):
-            got = mix.sample(n, np.random.default_rng(5))
-            expected = _masked_sample(mix, n, np.random.default_rng(5))
+            rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+            got = mix.sample(n, rng)
+            expected = _masked_sample(mix, n, oracle_rng)
             assert got.shape == (n, mix.dim)
             assert np.array_equal(got, expected)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1.0],
+            [0.3, 0.7],
+            [1e-9, 1.0 - 1e-9],
+            [0.2, 0.5, 0.3],
+            [0.5, 0.0, 0.5],
+            [0.1, 0.2, 0.3, 0.4],
+            [0.97, 0.01, 0.01, 0.01],
+            [1e-6, 1e-6, 0.5, 0.5 - 2e-6],
+        ],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 7, 100000])
+    def test_sample_draws_the_components_rng_choice_draws(self, weights, n):
+        # sample replaces rng.choice(k, size=n, p=w) by its own count over
+        # the cdf; the labels and the stream must stay choice's own.  Means
+        # 10 apart with sd 0.1 let each draw's component be read back.
+        k = len(weights)
+        mix = GaussianMixture(
+            weights=np.array(weights),
+            means=np.column_stack([10.0 * np.arange(k), np.zeros(k)]),
+            covs=np.tile(0.01 * np.eye(2), (k, 1, 1)),
+        )
+        for seed in (0, 1, 2, 12345):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = mix.sample(n, rng)
+            comp = oracle_rng.choice(k, size=n, p=mix.weights)
+            oracle_rng.standard_normal((n, 2))
+            assert np.array_equal(np.rint(got[:, 0] / 10.0).astype(int), comp)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_zero_weight_component_adds_nothing(self):
+        three = GaussianMixture(
+            weights=np.array([0.5, 0.0, 0.5]),
+            means=np.array([[0.0, 0.0], [5.0, 5.0], [-1.0, 4.0]]),
+            covs=np.tile(np.eye(2), (3, 1, 1)),
+        )
+        two = GaussianMixture(
+            weights=np.array([0.5, 0.5]),
+            means=np.array([[0.0, 0.0], [-1.0, 4.0]]),
+            covs=np.tile(np.eye(2), (2, 1, 1)),
+        )
+        z = np.vstack([_far_points(2), _overflow_points(2)])
+        np.testing.assert_allclose(three.log_pdf(z), two.log_pdf(z), rtol=1e-15, atol=0.0)
+        theta = np.array([0.3, -0.2])
+        np.testing.assert_allclose(
+            three.log_mgf_and_grad(theta)[0], two.log_mgf_and_grad(theta)[0], rtol=1e-15
+        )
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            ([1.5, -0.5], "non-negative"),
+            ([np.nan, 1.0], "finite"),
+            ([np.inf, 0.0], "finite"),
+            ([0.5, 0.5 + 1e-7], "sum to 1"),
+            ([0.5, 0.5, 0.0], "one per component"),
+        ],
+    )
+    def test_invalid_weights_raise(self, weights, match):
+        # The same cases rng.choice refuses, at its sum tolerance sqrt(eps).
+        p = np.array(weights)
+        if p.size == 2:
+            with pytest.raises(ValueError):
+                np.random.default_rng(0).choice(2, size=3, p=p)
+        with pytest.raises(ValueError, match=match):
+            GaussianMixture(
+                weights=p, means=np.zeros((2, 2)), covs=np.tile(np.eye(2), (2, 1, 1))
+            )
+
+    def test_weights_within_the_sum_tolerance_are_accepted(self):
+        p = np.array([0.5, 0.5 + 1e-9])
+        np.random.default_rng(0).choice(2, size=3, p=p)
+        GaussianMixture(weights=p, means=np.zeros((2, 2)), covs=np.tile(np.eye(2), (2, 1, 1)))
 
     @pytest.mark.parametrize(
         "cov",

@@ -10,10 +10,11 @@ from mnar_dre.model import (
     FeatureMap,
     MAX_WEIGHT,
     MissingnessFunction,
-    Tabulated,
     Zero,
 )
 from mnar_dre.weighting import point_importance_weights
+
+from testkit import Tabulated
 
 
 def _coords(*entries):
