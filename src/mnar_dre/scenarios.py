@@ -112,7 +112,9 @@ class GaussianMixture:
         # random(n) draw, so the same labels and the same generator state.
         # Draw i's component is the number of cdf[:-1] entries at or below u_i.
         u = rng.random(n)
-        comp = np.zeros(n, dtype=np.intp)
+        # np.full, not np.zeros: a large np.zeros is fresh calloc'd pages,
+        # which fault in on every call.
+        comp = np.full(n, 0, dtype=np.intp)
         for edge in self._cdf[:-1]:
             comp += u >= edge
         del u  # freed before the normals: a smaller peak, see log_pdf
