@@ -36,7 +36,7 @@ from . import __version__, dataio, experiments, kliep, naive_bayes
 from .kliep import COMPLETE_CASE, FULLY_OBSERVED, Mnar
 from .missingness import learn_missingness
 from .model import DataError, FeatureMap, MissingnessFunction, NumericError
-from .np_classify import build_np_classifier, labels_from_scores
+from .np_classify import build_np_classifier, labels_from_scores, threshold_rule
 # Unused here; benchmarks/tracing.py wraps the classify step under this name.
 from .np_classify import classify as np_classify_points  # noqa: F401
 
@@ -103,11 +103,35 @@ def _feature_map(kind: str | None, dim: int) -> FeatureMap:
     return FeatureMap.identity(dim)
 
 
-def _read_phi(path: str | None) -> MissingnessFunction | None:
+def _read_csv(args, path: str, require_class1: bool = True):
+    """``dataio.read_dataset_csv`` of ``path`` under the command's
+    ``--missing-token`` and ``--label-column``."""
+    return dataio.read_dataset_csv(
+        path, args.missing_token or "NA", args.label_column or "label", require_class1
+    )
+
+
+def _read_phi(path: str | None, dim: int) -> MissingnessFunction | None:
+    """The missingness file at ``path``, or None without one.  A file with
+    other than ``dim`` coordinates raises ``DataError`` naming both."""
     if path is None:
         return None
     with open(path) as fh:
-        return dataio.missingness_from_text(fh.read())
+        phi = dataio.missingness_from_text(fh.read())
+    if phi.dim != dim:
+        raise DataError(
+            f"missingness file {path} has {phi.dim} coordinates, the data has "
+            f"{dim} features"
+        )
+    return phi
+
+
+def _check_model_dim(model, data) -> None:
+    """Refuse data whose feature count is not the model's, naming both."""
+    if model.dim != data.dim:
+        raise DataError(
+            f"the model takes {model.dim} features, the data has {data.dim}"
+        )
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -126,6 +150,19 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(
             f"expected a comma list of numbers, got {text!r}"
         ) from None
+
+
+def _open_unit(text: str) -> float:
+    """A number strictly between 0 and 1, such as a level alpha or delta."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must lie strictly between 0 and 1, got {text!r}"
+        )
+    return value
 
 
 def _class_labels(text: str) -> tuple[int, ...]:
@@ -159,12 +196,10 @@ def _trim_spec(spec: str) -> tuple[int, tuple[float, float]]:
 
 def _cmd_fit(args) -> int:
     _require(args, "data", "out", "mode")
-    class0, class1 = dataio.read_dataset_csv(
-        args.data, args.missing_token or "NA", args.label_column or "label"
-    )
+    class0, class1, _ = _read_csv(args, args.data)
     if args.mode == "mkliep":
-        phi1 = _read_phi(args.phi) or MissingnessFunction.none(class1.dim)
-        phi0 = _read_phi(args.phi0) or MissingnessFunction.none(class0.dim)
+        phi1 = _read_phi(args.phi, class1.dim) or MissingnessFunction.none(class1.dim)
+        phi0 = _read_phi(args.phi0, class0.dim) or MissingnessFunction.none(class0.dim)
         weighting = Mnar(phi1, phi0)
     else:
         weighting = {"cckliep": COMPLETE_CASE, "kliep": FULLY_OBSERVED}[args.mode]
@@ -191,15 +226,17 @@ def _cmd_np_calibrate(args) -> int:
     _require(args, "model", "calibration", "out", "alpha", "delta")
     with open(args.model) as fh:
         model = dataio.model_from_text(fh.read())
-    class0, _class1 = dataio.read_dataset_csv(
-        args.calibration,
-        args.missing_token or "NA",
-        args.label_column or "label",
-        require_class1=False,
-    )
-    phi0 = _read_phi(args.phi0)
+    class0 = _read_csv(args, args.calibration, require_class1=False)[0]
+    _check_model_dim(model, class0)
+    phi0 = _read_phi(args.phi0, class0.dim)
+    rule = threshold_rule(args.rule or "auto", class0, phi0)
+    if rule == "missing" and args.delta > 0.5:
+        raise _UsageError(
+            "--delta must be at most 0.5 for the weighted threshold rule, got "
+            f"{args.delta!r}"
+        )
     clf = build_np_classifier(
-        model, class0, args.alpha, args.delta, phi0=phi0, rule=args.rule or "auto"
+        model, class0, args.alpha, args.delta, phi0=phi0, rule=rule
     )
     with open(args.out, "w") as fh:
         fh.write(dataio.classifier_to_text(clf))
@@ -216,9 +253,8 @@ def _cmd_classify(args) -> int:
     _require(args, "classifier", "data", "out")
     with open(args.classifier) as fh:
         clf = dataio.classifier_from_text(fh.read())
-    class0, class1 = dataio.read_dataset_csv(
-        args.data, args.missing_token or "NA", args.label_column or "label"
-    )
+    class0, class1, _ = _read_csv(args, args.data)
+    _check_model_dim(clf.model, class0)
     classified = []
     for ds in (class0, class1):
         if not ds.fully_observed:
@@ -236,12 +272,8 @@ def _cmd_classify(args) -> int:
 def _cmd_learn_phi(args) -> int:
     _require(args, "data", "latent", "queries", "out")
     label = 1 if args.class_label is None else args.class_label
-    corrupted = dataio.read_dataset_csv(
-        args.data, args.missing_token or "NA", args.label_column or "label"
-    )[label]
-    latent = dataio.read_dataset_csv(
-        args.latent, args.missing_token or "NA", args.label_column or "label"
-    )[label]
+    corrupted = _read_csv(args, args.data)[label]
+    latent = _read_csv(args, args.latent)[label]
     phi = learn_missingness(corrupted, latent, args.queries, args.seed or 0)
     with open(args.out, "w") as fh:
         fh.write(dataio.missingness_to_text(phi))
@@ -251,9 +283,7 @@ def _cmd_learn_phi(args) -> int:
 
 def _cmd_corrupt(args) -> int:
     _require(args, "data", "out")
-    class0, class1 = dataio.read_dataset_csv(
-        args.data, args.missing_token or "NA", args.label_column or "label"
-    )
+    class0, class1, names = _read_csv(args, args.data)
     rng = np.random.default_rng(args.seed or 0)
     by_label = {0: class0, 1: class1}
     for label in args.classes or (1,):
@@ -267,7 +297,7 @@ def _cmd_corrupt(args) -> int:
             ]
             phi = MissingnessFunction.per_coordinate(entries)
         else:
-            phi = _read_phi(args.phi)
+            phi = _read_phi(args.phi, ds.dim)
             if phi is None:
                 raise _UsageError(
                     "corrupt needs --phi, --preset paper-rwe, or --target-proportion"
@@ -275,7 +305,7 @@ def _cmd_corrupt(args) -> int:
         by_label[label] = dataio.corrupt_dataset(ds, phi, rng)
     dataio.write_dataset_csv(
         args.out, by_label[0], by_label[1], args.missing_token or "NA",
-        label_column=args.label_column or "label",
+        feature_names=names, label_column=args.label_column or "label",
     )
     print(f"wrote corrupted data to {args.out}")
     return 0
@@ -283,10 +313,8 @@ def _cmd_corrupt(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     _require(args, "data", "out")
-    class0, class1 = dataio.read_dataset_csv(
-        args.data, args.missing_token or "NA", args.label_column or "label"
-    )
-    class0, class1, _rec = dataio.preprocess(
+    class0, class1, names = _read_csv(args, args.data)
+    class0, class1 = dataio.preprocess(
         class0,
         class1,
         trim=dict(args.trim or ()),
@@ -295,7 +323,7 @@ def _cmd_preprocess(args) -> int:
     )
     dataio.write_dataset_csv(
         args.out, class0, class1, args.missing_token or "NA",
-        label_column=args.label_column or "label",
+        feature_names=names, label_column=args.label_column or "label",
     )
     print(f"wrote preprocessed data to {args.out}")
     return 0
@@ -425,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration",
                    help="CSV whose class-0 rows calibrate the threshold; a "
                    "separate file, drawn independently of the training data")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--alpha", type=_open_unit)
+    p.add_argument("--delta", type=_open_unit)
     p.add_argument("--rule", choices=["auto", "binomial", "missing"])
     p.add_argument("--phi0", help="class-0 missingness file")
     p.add_argument("--out")
@@ -479,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--estimators", help="comma list")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--alpha", type=_open_unit)
+    p.add_argument("--delta", type=_open_unit)
     p.add_argument("--n-test", dest="n_test", type=int)
     p.add_argument("--n-type1", dest="n_type1", type=int)
     p.add_argument("--calibration-n", dest="calibration_n", type=int)

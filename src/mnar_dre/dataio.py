@@ -23,7 +23,6 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,11 +51,9 @@ _CSV_CHUNK_ROWS = 8192
 _NOT_CSV_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
-def _parse_field(
-    text: str, missing_token: str, allow_empty: bool, row_num: int, col: str
-) -> float:
+def _parse_field(text: str, missing_token: str, row_num: int, col: str) -> float:
     t = text.strip()
-    if t == missing_token or (allow_empty and t == ""):
+    if t in (missing_token, ""):
         return math.nan
     try:
         v = float(t)
@@ -87,7 +84,7 @@ def _numbered_rows(reader, start: int):
 
 
 def _read_rows(
-    reader, header: list[str], label_idx: int, missing_token: str, allow_empty: bool
+    reader, header: list[str], label_idx: int, missing_token: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parse the rows one at a time; raise the ``DataError`` of the first bad one."""
     feature_cols = [(i, name) for i, name in enumerate(header) if i != label_idx]
@@ -103,7 +100,7 @@ def _read_rows(
                 f"row {row_num}: label must be 0 or 1, got {label_text!r}"
             )
         values = [
-            _parse_field(row[i], missing_token, allow_empty, row_num, name)
+            _parse_field(row[i], missing_token, row_num, name)
             for i, name in feature_cols
         ]
         (rows1 if label_text == "1" else rows0).append(values)
@@ -111,7 +108,7 @@ def _read_rows(
 
 
 def _read_rows_bulk(
-    fh, width: int, label_idx: int, missing_token: str, allow_empty: bool
+    fh, width: int, label_idx: int, missing_token: str
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Parse the rows left in ``fh`` a chunk at a time, or return None at the
     first chunk not in plain form.
@@ -126,9 +123,7 @@ def _read_rows_bulk(
     """
     if missing_token != missing_token.strip():
         return None  # _parse_field compares stripped text, which never matches
-    missing = dict.fromkeys(
-        [missing_token, ""] if allow_empty else [missing_token], math.nan
-    )
+    missing = dict.fromkeys([missing_token, ""], math.nan)
     try:
         token_value = float(missing_token)
     except ValueError:
@@ -172,19 +167,20 @@ def read_dataset_csv(
     path,
     missing_token: str = "NA",
     label_column: str = "label",
-    allow_empty: bool = True,
     require_class1: bool = True,
-) -> tuple[Dataset, Dataset | None]:
-    """Read a labelled CSV into a (class0, class1) dataset pair.
+) -> tuple[Dataset, Dataset | None, list[str]]:
+    """Read a labelled CSV into a (class0, class1, feature names) triple.
 
     Both classes must have rows.  With ``require_class1=False`` only class 0
-    must, and a file without class-1 rows gives None for class 1.
+    must, and a file without class-1 rows gives None for class 1.  The
+    feature names are the header's names other than ``label_column``, in
+    file order, the order of the dataset columns.
 
     The first row is a header that names ``label_column``.  Every other row
     has one field per header name: a label ``0`` or ``1``, and feature fields
-    that are finite numbers, ``missing_token`` or, with ``allow_empty``,
-    empty; the last two read as NaN.  Whitespace around a field is ignored,
-    fields may be quoted, and line ends may be ``\\n``, ``\\r\\n`` or ``\\r``.
+    that are finite numbers, ``missing_token`` or empty; the last two read as
+    NaN.  Whitespace around a field is ignored, fields may be quoted, and
+    line ends may be ``\\n``, ``\\r\\n`` or ``\\r``.
 
     Rows are parsed in bulk, a chunk of rows at a time.  A file with quotes,
     ``\\r`` line ends, whitespace around a label or token, or any bad row is
@@ -199,18 +195,19 @@ def read_dataset_csv(
         if label_column not in header:
             raise DataError(f"label column {label_column!r} not found in header")
         label_idx = header.index(label_column)
-        parts = _read_rows_bulk(fh, len(header), label_idx, missing_token, allow_empty)
+        parts = _read_rows_bulk(fh, len(header), label_idx, missing_token)
     if parts is None:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             next(reader)
-            parts = _read_rows(reader, header, label_idx, missing_token, allow_empty)
+            parts = _read_rows(reader, header, label_idx, missing_token)
     values0, values1 = parts
     if require_class1 and not (len(values0) and len(values1)):
         raise DataError("both classes must be present in the file")
     if not len(values0):
         raise DataError(f"no class-0 rows ({label_column} = 0) in the file")
-    return Dataset(values0, 0), Dataset(values1, 1) if len(values1) else None
+    class1 = Dataset(values1, 1) if len(values1) else None
+    return Dataset(values0, 0), class1, header[:label_idx] + header[label_idx + 1 :]
 
 
 def write_dataset_csv(
@@ -342,43 +339,19 @@ def config_hash(config: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class TransformRecord:
-    """Per-column preprocessing state fitted on training data, reusable on
-    calibration/test data."""
-
-    trim_lo: np.ndarray  # -inf where unbounded
-    trim_hi: np.ndarray
-    impute_values: np.ndarray  # nan where imputation is off
-    shift: np.ndarray  # 0 where normalization is off
-    scale: np.ndarray  # 1 where normalization is off
-
-
-def _apply_record(values: np.ndarray, rec: TransformRecord) -> np.ndarray:
-    out = values.copy()
-    out = np.clip(out, rec.trim_lo, rec.trim_hi)
-    for j in range(out.shape[1]):
-        if not math.isnan(rec.impute_values[j]):
-            col = out[:, j]
-            col[np.isnan(col)] = rec.impute_values[j]
-    out = (out - rec.shift) / rec.scale
-    return out
-
-
 def preprocess(
     class0: Dataset,
     class1: Dataset,
     trim: dict[int, tuple[float, float]] | None = None,
     mean_impute: bool = False,
     normalize: bool = False,
-) -> tuple[Dataset, Dataset, TransformRecord]:
-    """Ordered pipeline trim -> impute -> normalize on a training pair.
+) -> tuple[Dataset, Dataset]:
+    """Ordered pipeline trim -> impute -> normalize on a pair of classes.
 
-    Means and scales are computed on the training pair only (pooled over both
-    classes, observed entries); apply the returned record to calibration or
-    test data with ``apply_transform``.  Mean imputation fills the entries
-    missing at this point in the pipeline -- run it before any synthetic
-    corruption so induced missing marks stay missing for the estimators.
+    Means and scales are computed on the pair, pooled over both classes and
+    over observed entries.  Mean imputation fills the entries missing at
+    this point in the pipeline -- run it before any synthetic corruption so
+    induced missing marks stay missing for the estimators.
     """
     d = class0.dim
     if class1.dim != d:
@@ -391,24 +364,18 @@ def preprocess(
     trim_hi = np.full(d, np.inf)
     for j, (lo, hi) in trim.items():
         trim_lo[j], trim_hi[j] = lo, hi
-    pooled = np.vstack([class0.values, class1.values])
-    pooled = np.clip(pooled, trim_lo, trim_hi)
+    pooled = np.clip(np.vstack([class0.values, class1.values]), trim_lo, trim_hi)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
-        col_means = np.nanmean(pooled, axis=0)
-    impute_values = col_means if mean_impute else np.full(d, np.nan)
-    if mean_impute and np.isnan(col_means).any():
-        raise DataError("cannot mean-impute a column with no observed entries")
-    if normalize:
-        filled = pooled.copy()
         if mean_impute:
-            for j in range(d):
-                col = filled[:, j]
-                col[np.isnan(col)] = col_means[j]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            shift = np.nanmean(filled, axis=0)
-            scale = np.nanstd(filled, axis=0, ddof=0)
+            col_means = np.nanmean(pooled, axis=0)
+            if np.isnan(col_means).any():
+                raise DataError("cannot mean-impute a column with no observed entries")
+            pooled = np.where(np.isnan(pooled), col_means, pooled)
+        if normalize:
+            shift = np.nanmean(pooled, axis=0)
+            scale = np.nanstd(pooled, axis=0, ddof=0)
+    if normalize:
         flat = scale <= 0.0
         if flat.any():
             warnings.warn(
@@ -418,25 +385,8 @@ def preprocess(
                 stacklevel=2,
             )
             scale = np.where(flat, 1.0, scale)
-    else:
-        shift = np.zeros(d)
-        scale = np.ones(d)
-    rec = TransformRecord(
-        trim_lo=trim_lo,
-        trim_hi=trim_hi,
-        impute_values=impute_values,
-        shift=shift,
-        scale=scale,
-    )
-    return (
-        Dataset(_apply_record(class0.values, rec), 0),
-        Dataset(_apply_record(class1.values, rec), 1),
-        rec,
-    )
-
-
-def apply_transform(dataset: Dataset, rec: TransformRecord) -> Dataset:
-    return Dataset(_apply_record(dataset.values, rec), dataset.label)
+        pooled = (pooled - shift) / scale
+    return Dataset(pooled[: class0.n], 0), Dataset(pooled[class0.n :], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +402,10 @@ def corrupt_dataset(
     return Dataset(phi.corrupt(dataset.values, rng), dataset.label)
 
 
-def solve_target_proportion(
-    column: np.ndarray, target: float, slope: float = 1.0, tau: int = -1
-) -> LogisticScalar:
-    """Find the logistic intercept whose expected missing fraction on the
-    column matches ``target`` to within 0.005 (by bisection)."""
+def solve_target_proportion(column: np.ndarray, target: float) -> LogisticScalar:
+    """Find the intercept a0 of the logistic missingness phi(z) =
+    1 / (1 + exp(-(a0 + z))) whose expected missing fraction on the column
+    matches ``target`` to within 0.005 (by bisection)."""
     if not 0.0 <= target < 1.0 - EPS_PHI:
         raise DataError(
             f"target proportion {target} is unattainable (must be < {1 - EPS_PHI})"
@@ -467,9 +416,9 @@ def solve_target_proportion(
         raise DataError("cannot calibrate a proportion on an all-missing column")
 
     def realized(a0: float) -> float:
-        return float(LogisticScalar(a0=a0, a1=slope, tau=tau).prob(column).mean())
+        return float(LogisticScalar(a0=a0, a1=1.0).prob(column).mean())
 
-    # phi is monotone in a0 (direction depends on tau); expand until bracketed.
+    # phi is monotone in a0; expand until bracketed.
     lo, hi = -1.0, 1.0
     for _ in range(200):
         f_lo, f_hi = realized(lo), realized(hi)
@@ -483,7 +432,7 @@ def solve_target_proportion(
         mid = 0.5 * (lo + hi)
         f_mid = realized(mid)
         if abs(f_mid - target) <= 0.0025:
-            return LogisticScalar(a0=mid, a1=slope, tau=tau)
+            return LogisticScalar(a0=mid, a1=1.0)
         if (f_mid < target) == (realized(lo) < target):
             lo = mid
         else:

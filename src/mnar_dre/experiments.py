@@ -116,50 +116,60 @@ def _check_estimators(scenario: Scenario, estimators, known: tuple[str, ...]) ->
             )
 
 
+def _check_delta(cfg: PowerConfig, scenario: Scenario) -> None:
+    """Refuse, before any replication runs, a delta above 1/2 where the
+    config alone makes every replication calibrate by the weighted rule:
+    rule "missing", or "auto" with class 0 corrupted, whose missingness makes
+    auto pick the weighted rule."""
+    weighted = cfg.threshold_rule == "missing" or (
+        cfg.threshold_rule == "auto"
+        and cfg.corrupt_class == 0
+        and not scenario.induced_phi.is_zero()
+    )
+    if weighted and cfg.delta > 0.5:
+        raise ConfigError(
+            "--delta must be at most 0.5 for the weighted threshold rule, got "
+            f"{cfg.delta!r}"
+        )
+
+
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
-def _fit_theta(name: str, draw: SyntheticDraw) -> np.ndarray:
-    fmap = kliep.FeatureMap.identity(draw.latent1.dim)
-    if name == "mkliep":
-        mode = Mnar(draw.phi1, draw.phi0)
-        return kliep.fit(draw.corrupted1, draw.corrupted0, fmap, mode).theta
-    if name == "cckliep":
-        return kliep.fit(draw.corrupted1, draw.corrupted0, fmap, COMPLETE_CASE).theta
-    if name == "kliep-oracle":
-        return kliep.fit(draw.latent1, draw.latent0, fmap, FULLY_OBSERVED).theta
-    raise ValueError(f"unknown parameter estimator {name!r}")
+def _fit_model(
+    name: str,
+    draw: SyntheticDraw,
+    queries: int = 0,
+    rng: np.random.Generator | None = None,
+):
+    """The ratio model that estimator ``name`` fits on ``draw``.
 
-
-def _fit_score(name: str, draw: SyntheticDraw, queries: int, rng: np.random.Generator):
-    if name == "true-ratio":
-        return draw.true_log_ratio
-    if name in THETA_ESTIMATORS:
-        theta = _fit_theta(name, draw)
-        fmap = kliep.FeatureMap.identity(draw.latent1.dim)
-        return kliep.LogLinearRatioModel(theta=theta, feature_map=fmap).log_ratio
-    if name == "nb-mkliep":
-        mode = Mnar(draw.phi1, draw.phi0)
-        return naive_bayes.fit_naive_bayes(
-            draw.corrupted1, draw.corrupted0, mode, set_normalizers=False
-        ).log_ratio
-    if name == "nb-cckliep":
-        return naive_bayes.fit_naive_bayes(
-            draw.corrupted1, draw.corrupted0, COMPLETE_CASE, set_normalizers=False
-        ).log_ratio
-    if name == "nb-kliep-oracle":
-        return naive_bayes.fit_naive_bayes(
-            draw.latent1, draw.latent0, FULLY_OBSERVED, set_normalizers=False
-        ).log_ratio
-    if name == "nb-mkliep-learned":
+    A name is an optional ``nb-`` prefix, which fits the per-dimension
+    product model (``naive_bayes``), and a base that picks the data and the
+    weighting: ``mkliep`` weights the corrupted data by the true missingness,
+    ``cckliep`` keeps its complete cases, ``kliep-oracle`` fits the latent
+    data, and ``mkliep-learned`` weights by the missingness that
+    ``learn_missingness`` learns from ``queries`` queries per class, class 1
+    first, drawn from ``rng``.
+    """
+    base = name.removeprefix("nb-")
+    corrupted = (draw.corrupted1, draw.corrupted0)
+    if base == "mkliep":
+        data, mode = corrupted, Mnar(draw.phi1, draw.phi0)
+    elif base == "cckliep":
+        data, mode = corrupted, COMPLETE_CASE
+    elif base == "kliep-oracle":
+        data, mode = (draw.latent1, draw.latent0), FULLY_OBSERVED
+    elif base == "mkliep-learned":
         phi1_hat = learn_missingness(draw.corrupted1, draw.latent1, queries, rng)
         phi0_hat = learn_missingness(draw.corrupted0, draw.latent0, queries, rng)
-        return naive_bayes.fit_naive_bayes(
-            draw.corrupted1, draw.corrupted0, Mnar(phi1_hat, phi0_hat),
-            set_normalizers=False,
-        ).log_ratio
-    raise ValueError(f"unknown estimator {name!r}")
+        data, mode = corrupted, Mnar(phi1_hat, phi0_hat)
+    else:
+        raise ValueError(f"unknown estimator {name!r}")
+    if name.startswith("nb-"):
+        return naive_bayes.fit_naive_bayes(*data, mode, set_normalizers=False)
+    return kliep.fit(*data, kliep.FeatureMap.identity(draw.latent1.dim), mode)
 
 
 def _msd_rep(payload) -> dict[str, float]:
@@ -169,7 +179,7 @@ def _msd_rep(payload) -> dict[str, float]:
     out = {}
     for name in cfg.estimators:
         try:
-            theta = _fit_theta(name, draw)
+            theta = _fit_model(name, draw).theta
             out[name] = float(np.sum((theta - theta_tilde) ** 2))
         except (NumericError, DataError):
             out[name] = math.nan
@@ -190,9 +200,12 @@ def _power_rep(payload) -> dict[str, tuple[float, float, bool]]:
     out = {}
     for name in cfg.estimators:
         try:
-            score_fn = _fit_score(name, draw, cfg.queries, rng)
+            if name == "true-ratio":
+                model = draw.true_log_ratio
+            else:
+                model = _fit_model(name, draw, cfg.queries, rng)
             clf = build_np_classifier(
-                score_fn,
+                model,
                 calibration,
                 cfg.alpha,
                 cfg.delta,
@@ -269,6 +282,7 @@ def run_power_replications(
         runs = [(n, scenario, n) for n in cfg.ns]
     for _, scenario, _ in runs:
         _check_estimators(scenario, cfg.estimators, SCORE_ESTIMATORS)
+        _check_delta(cfg, scenario)
     results: dict[float, dict[str, dict[str, np.ndarray]]] = {}
     for key, scenario, n in runs:
         payloads = [(cfg, scenario, n, rep) for rep in range(cfg.reps)]

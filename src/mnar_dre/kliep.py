@@ -1,14 +1,17 @@
 """KLIEP density ratio estimation under the log-linear model.
 
 Three weighting modes resolve each class into rows, weights and a divisor
-(``class_terms``), and every fit and normalizer reads them from there:
+(``class_terms``), and every fit and normalizer reads them from there.  Each
+mode keeps the class's fully observed rows, taken once from
+``Dataset.observed_rows``, and differs only in their weights and divisor:
 
-* fully observed  -- all weights 1, divisors n1/n0 (requires complete data);
-* complete case   -- drop rows with missing coordinates, weights 1, divisors
-                     equal to the observed counts (the naive estimator that
-                     is biased under informative missingness);
-* MNAR            -- keep the divisors at n1/n0 and weight each observed row
-                     by 1/(1 - phi(x)), restoring consistency (M-KLIEP).
+* fully observed  -- weights 1, divisors n1/n0 (requires complete data, so
+                     every row is kept);
+* complete case   -- weights 1, divisors equal to the observed counts (the
+                     naive estimator that is biased under informative
+                     missingness);
+* MNAR            -- weights 1/(1 - phi(x)) and divisors n1/n0, restoring
+                     consistency (M-KLIEP).
 
 The fitted objective (negated, so it is minimized) is
 
@@ -75,33 +78,34 @@ class ClassTerms:
 def class_terms(
     data: Dataset, fmap: FeatureMap, mode: WeightingMode, class_index: int
 ) -> ClassTerms:
-    """Resolve one class's rows into (features, weights, divisor)."""
-    n = data.n
-    if isinstance(mode, Mnar):
-        phi = mode.phi1 if class_index == 1 else mode.phi0
-        w = point_importance_weights(data.values, phi)
-        keep = np.flatnonzero(w > 0.0)
-        if not keep.size:
-            raise NumericError(
-                f"degenerate class-{class_index} weighted sum: no observed rows"
-            )
-        return ClassTerms(fmap(data.values.take(keep, axis=0)), w.take(keep), n, n)
-    if mode == FULLY_OBSERVED:
-        if not data.fully_observed:
-            raise DataError(
-                "fully-observed mode requires complete data; use the MNAR or "
-                "complete-case mode on corrupted samples"
-            )
-        return ClassTerms(fmap(data.values), np.ones(n), n, n)
-    if mode == COMPLETE_CASE:
-        rows = np.flatnonzero(data.observed_rows())
-        m = rows.size
-        if m == 0:
-            raise NumericError(
-                f"degenerate class-{class_index} weighted sum: no complete cases"
-            )
-        return ClassTerms(fmap(data.values.take(rows, axis=0)), np.ones(m), m, n)
-    raise ValueError(f"unknown weighting mode {mode!r}")
+    """Resolve one class's rows into (features, weights, divisor).
+
+    Fully observed mode refuses incomplete data with ``DataError``; a class
+    with no fully observed row raises ``NumericError``, and an unknown mode
+    ``ValueError``.
+    """
+    mnar = isinstance(mode, Mnar)
+    if not mnar and mode not in (FULLY_OBSERVED, COMPLETE_CASE):
+        raise ValueError(f"unknown weighting mode {mode!r}")
+    if mode == FULLY_OBSERVED and not data.fully_observed:
+        raise DataError(
+            "fully-observed mode requires complete data; use the MNAR or "
+            "complete-case mode on corrupted samples"
+        )
+    rows = np.flatnonzero(data.observed_rows())
+    if not rows.size:
+        raise NumericError(
+            f"degenerate class-{class_index} weighted sum: no observed rows"
+        )
+    observed = data.values.take(rows, axis=0)
+    if mnar:
+        weights = point_importance_weights(
+            observed, mode.phi1 if class_index == 1 else mode.phi0
+        )
+    else:
+        weights = np.ones(rows.size)
+    divisor = rows.size if mode == COMPLETE_CASE else data.n
+    return ClassTerms(fmap(observed), weights, divisor, data.n)
 
 
 class _KliepCore:

@@ -183,7 +183,10 @@ def learn_missingness(
     _check_budget(m_q)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if corrupted.values.shape != latent.values.shape:
-        raise DataError("corrupted and latent datasets must have matching shapes")
+        raise DataError(
+            "corrupted and latent datasets must have matching shapes, got "
+            f"{corrupted.values.shape} and {latent.values.shape}"
+        )
     entries = []
     for j in range(corrupted.dim):
         column = corrupted.column(j)

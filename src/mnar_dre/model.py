@@ -182,9 +182,6 @@ class HalfspaceIndicator:
         return min(self.p, 1.0 - EPS_PHI)
 
 
-MissingnessEntry = object  # duck-typed: needs .prob() and .sup_prob()
-
-
 @dataclass(frozen=True, eq=False)
 class MissingnessFunction:
     """Per-class missingness model.

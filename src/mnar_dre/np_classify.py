@@ -135,26 +135,20 @@ def threshold_missing(
 
 
 def binomial_upper_tail_log(n: int, q: float) -> np.ndarray:
-    """log P(W >= i) for i = 0..n with W ~ Binomial(n, q), by exact summation.
+    """log P(W >= i) for i = 0..n with W ~ Binomial(n, q), 0 < q < 1, by exact
+    summation.
 
     The PMF is evaluated in log space and accumulated from the top down, so
     tiny tails keep full relative precision (no normal approximation).
     """
     k = np.arange(n + 1)
-    if q <= 0.0:
-        log_pmf = np.full(n + 1, -np.inf)
-        log_pmf[0] = 0.0
-    elif q >= 1.0:
-        log_pmf = np.full(n + 1, -np.inf)
-        log_pmf[n] = 0.0
-    else:
-        log_pmf = (
-            gammaln(n + 1)
-            - gammaln(k + 1)
-            - gammaln(n - k + 1)
-            + k * math.log(q)
-            + (n - k) * math.log1p(-q)
-        )
+    log_pmf = (
+        gammaln(n + 1)
+        - gammaln(k + 1)
+        - gammaln(n - k + 1)
+        + k * math.log(q)
+        + (n - k) * math.log1p(-q)
+    )
     # suffix logsumexp via reverse accumulate
     rev = log_pmf[::-1]
     tail = np.logaddexp.accumulate(rev)[::-1]
@@ -255,17 +249,20 @@ def calibration_scores(
     """Scores and weights of a class-0 calibration sample.
 
     Missing calibration points (any missing coordinate) take score -inf and
-    weight 0; observed points are scored and weighted by 1/(1 - phi0).
+    weight 0.  The fully observed rows, taken once from
+    ``Dataset.observed_rows``, are scored and weighted by 1/(1 - phi0), or 1
+    without class-0 missingness.
     """
-    observed = calibration.observed_rows()
+    rows = np.flatnonzero(calibration.observed_rows())
     scores = np.full(calibration.n, -np.inf)
-    rows = np.flatnonzero(observed)
+    weights = np.zeros(calibration.n)
     if rows.size:
-        scores[rows] = score_fn(calibration.values.take(rows, axis=0))
-    if phi0 is None or phi0.is_zero():
-        weights = observed.astype(float)
-    else:
-        weights = point_importance_weights(calibration.values, phi0)
+        observed = calibration.values.take(rows, axis=0)
+        scores[rows] = score_fn(observed)
+        if phi0 is None or phi0.is_zero():
+            weights[rows] = 1.0
+        else:
+            weights[rows] = point_importance_weights(observed, phi0)
     return scores, weights
 
 
@@ -275,6 +272,19 @@ def _resolve_score_fn(model_or_fn) -> tuple[Callable, RatioModel | None]:
     if callable(model_or_fn):
         return model_or_fn, None
     raise TypeError("expected a ratio model or a score callable")
+
+
+def threshold_rule(
+    rule: str, calibration: Dataset, phi0: MissingnessFunction | None
+) -> str:
+    """The threshold rule, "binomial" or "missing", that ``rule`` picks for
+    ``calibration`` (see ``build_np_classifier``)."""
+    if rule not in ("auto", "binomial", "missing"):
+        raise ValueError("rule must be 'auto', 'binomial' or 'missing'")
+    if rule != "auto":
+        return rule
+    no_phi0 = phi0 is None or phi0.is_zero()
+    return "binomial" if calibration.fully_observed and no_phi0 else "missing"
 
 
 def build_np_classifier(
@@ -301,21 +311,16 @@ def build_np_classifier(
     if calibration.label != 0:
         raise DataError("calibration data must come from class 0")
     score_fn, model = _resolve_score_fn(model_or_score_fn)
-    no_phi0 = phi0 is None or phi0.is_zero()
-    if rule == "auto":
-        rule = "binomial" if (calibration.fully_observed and no_phi0) else "missing"
-    if rule == "binomial":
+    if threshold_rule(rule, calibration, phi0) == "binomial":
         if not calibration.fully_observed:
             raise DataError("binomial rule requires a fully observed calibration set")
         scores, _ = calibration_scores(score_fn, calibration, None)
         result = threshold_binomial(scores, alpha, delta)
-    elif rule == "missing":
+    else:
         scores, weights = calibration_scores(score_fn, calibration, phi0)
-        phi_sup = 0.0 if no_phi0 else phi0.sup_prob()
+        phi_sup = 0.0 if phi0 is None or phi0.is_zero() else phi0.sup_prob()
         m_eff0 = calibration.n * (1.0 - phi_sup)
         result = threshold_missing(scores, weights, alpha, delta, m_eff0)
-    else:
-        raise ValueError("rule must be 'auto', 'binomial' or 'missing'")
     return NpClassifier(
         score_fn=score_fn,
         threshold=result.value,

@@ -31,7 +31,6 @@ from scipy.optimize import minimize
 
 from .model import (
     Dataset,
-    FeatureMap,
     HalfspaceIndicator,
     LogisticScalar,
     MissingnessFunction,
@@ -187,9 +186,6 @@ class Scenario:
     def dim(self) -> int:
         return self.class1.dim
 
-    def feature_map(self) -> FeatureMap:
-        return FeatureMap.identity(self.dim)
-
     def true_log_ratio(self, z: np.ndarray) -> np.ndarray:
         return self.class1.log_pdf(z) - self.class0.log_pdf(z)
 
@@ -199,14 +195,6 @@ class Scenario:
         if corrupt_class == 1:
             return self.induced_phi, none
         return none, self.induced_phi
-
-
-def _eye_mixture(weights, means, cov_list) -> GaussianMixture:
-    return GaussianMixture(
-        weights=np.asarray(weights, dtype=float),
-        means=np.asarray(means, dtype=float),
-        covs=np.asarray(cov_list, dtype=float),
-    )
 
 
 def make_scenario(name: str, rho: float = 0.0) -> Scenario:
@@ -234,17 +222,17 @@ def make_scenario(name: str, rho: float = 0.0) -> Scenario:
         d = 5
         return Scenario(
             name=name,
-            class1=_eye_mixture([1.0], [np.full(d, 0.1)], [np.eye(d)]),
-            class0=_eye_mixture([1.0], [np.zeros(d)], [np.eye(d)]),
+            class1=GaussianMixture([1.0], [np.full(d, 0.1)], [np.eye(d)]),
+            class0=GaussianMixture([1.0], [np.zeros(d)], [np.eye(d)]),
             induced_phi=MissingnessFunction.whole_point(
                 HalfspaceIndicator(direction=np.ones(d), level=0.0, p=0.5)
             ),
         )
     if name in ("mixture2d", "mixture2d-logistic"):
-        class1 = _eye_mixture(
+        class1 = GaussianMixture(
             [0.5, 0.5], [[0.0, 0.0], [-1.0, 4.0]], [I2, I2]
         )
-        class0 = _eye_mixture(
+        class0 = GaussianMixture(
             [0.5, 0.5], [[1.0, 0.0], [0.0, 4.0]], [I2, I2]
         )
         if name == "mixture2d":
@@ -273,8 +261,8 @@ def make_scenario(name: str, rho: float = 0.0) -> Scenario:
         cov = np.array([[1.0, rho], [rho, 1.0]])
         return Scenario(
             name=name,
-            class1=_eye_mixture([1.0], [[0.0, 0.0]], [cov]),
-            class0=_eye_mixture([1.0], [[1.0, 2.0]], [cov]),
+            class1=GaussianMixture([1.0], [[0.0, 0.0]], [cov]),
+            class0=GaussianMixture([1.0], [[1.0, 2.0]], [cov]),
             induced_phi=MissingnessFunction.per_coordinate(
                 [
                     HalfspaceIndicator(direction=np.array([1.0]), level=0.0, p=0.8),
@@ -286,8 +274,8 @@ def make_scenario(name: str, rho: float = 0.0) -> Scenario:
     if name == "diff-var":
         return Scenario(
             name=name,
-            class1=_eye_mixture([1.0], [[0.0, 0.0]], [I2]),
-            class0=_eye_mixture([1.0], [[1.0, 1.0]], [np.diag([1.0, 2.0])]),
+            class1=GaussianMixture([1.0], [[0.0, 0.0]], [I2]),
+            class0=GaussianMixture([1.0], [[1.0, 1.0]], [np.diag([1.0, 2.0])]),
             induced_phi=MissingnessFunction.whole_point(
                 HalfspaceIndicator(direction=np.array([1.0, 0.0]), level=0.0, p=0.8)
             ),
@@ -297,12 +285,12 @@ def make_scenario(name: str, rho: float = 0.0) -> Scenario:
             raise ValueError("misspecification weight must lie in [0, 0.5]")
         return Scenario(
             name=name,
-            class1=_eye_mixture(
+            class1=GaussianMixture(
                 [1.0 - rho, rho], [[0.0, 0.0], [2.0, 0.0]], [I2, I2]
             )
             if rho > 0.0
-            else _eye_mixture([1.0], [[0.0, 0.0]], [I2]),
-            class0=_eye_mixture([1.0], [[1.0, 0.0]], [I2]),
+            else GaussianMixture([1.0], [[0.0, 0.0]], [I2]),
+            class0=GaussianMixture([1.0], [[1.0, 0.0]], [I2]),
             induced_phi=MissingnessFunction.whole_point(
                 HalfspaceIndicator(direction=np.array([1.0, 0.0]), level=0.0, p=0.8)
             ),
@@ -372,7 +360,7 @@ def population_objective(
     return float(-theta @ mean1 + log_mgf), grad_mgf - mean1
 
 
-def population_theta(scenario: Scenario, tol: float = 1e-12) -> np.ndarray:
+def population_theta(scenario: Scenario) -> np.ndarray:
     """Population-optimal parameter by convex minimization of the exact objective.
 
     This is the target the estimators are measured against in the distance
@@ -384,6 +372,6 @@ def population_theta(scenario: Scenario, tol: float = 1e-12) -> np.ndarray:
         np.zeros(scenario.dim),
         jac=True,
         method="L-BFGS-B",
-        options={"gtol": tol, "ftol": 0.0, "maxiter": 10_000},
+        options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 10_000},
     )
     return np.asarray(res.x, dtype=float)

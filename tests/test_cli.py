@@ -473,6 +473,117 @@ class TestFlagValues:
         assert not out.exists()
 
 
+class TestLevelValues:
+    """alpha and delta out of range exit 2 before any file is written."""
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--alpha", "1.5", "--delta", "0.2"], "argument --alpha"),
+            (["--alpha", "0", "--delta", "0.2"], "argument --alpha"),
+            (["--alpha", "0.2", "--delta", "0"], "argument --delta"),
+            (["--alpha", "0.2", "--delta", "1"], "argument --delta"),
+            (["--alpha", "0.2", "--delta", "nan"], "argument --delta"),
+            (["--alpha", "0.2", "--delta", "0.7", "--rule", "missing"],
+             "--delta must be at most 0.5"),
+        ],
+    )
+    def test_np_calibrate_exits_2(self, files, extra, named, capsys):
+        out = files["dir"] / "unused-level-clf.txt"
+        rc = cli.main(["np-calibrate", "--model", files["model"], "--calibration",
+                       files["cal"], *extra, "--out", str(out)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_np_calibrate_auto_weighted_rule_delta_above_half_exits_2(self, files, capsys):
+        # Class-0 missingness makes "auto" pick the weighted rule.
+        phi0 = files["dir"] / "phi0-level.txt"
+        phi0.write_text("dims = 2\n0 = constant 0.1\n")
+        out = files["dir"] / "unused-level-clf.txt"
+        argv = ["np-calibrate", "--model", files["model"], "--calibration",
+                files["cal"], "--alpha", "0.2", "--phi0", str(phi0), "--out", str(out)]
+        assert cli.main([*argv, "--delta", "0.7"]) == 2
+        assert "--delta must be at most 0.5" in capsys.readouterr().err
+        assert not out.exists()
+        # The binomial rule takes a delta above 1/2.
+        assert cli.main([*argv[:-4], "--delta", "0.7", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--alpha", "2"], "argument --alpha"),
+            (["--delta", "-0.1"], "argument --delta"),
+            (["--rule", "missing", "--delta", "0.7"], "--delta must be at most 0.5"),
+            (["--corrupt-class", "0", "--delta", "0.7"], "--delta must be at most 0.5"),
+        ],
+    )
+    def test_experiment_exits_2(self, files, extra, named, capsys):
+        out = files["dir"] / "unused-level-table.csv"
+        rc = cli.main(["experiment", "power", "--scenario", "mixture2d", "--n", "50",
+                       "--reps", "1", *extra, "--out", str(out)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDimensionMismatch:
+    """Input files whose feature counts disagree exit 3, naming both counts."""
+
+    @pytest.fixture(scope="class")
+    def mismatched(self, files):
+        d = files["dir"]
+        rng = np.random.default_rng(5)
+        wide = d / "wide.csv"
+        dataio.write_dataset_csv(wide, Dataset(rng.normal(size=(50, 3)), 0),
+                                 Dataset(rng.normal(size=(50, 3)), 1))
+        phi = d / "phi-1dim.txt"
+        phi.write_text("dims = 1\n0 = constant 0.3\n")
+        return {"wide": str(wide), "phi": str(phi)}
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["classify", "--classifier", "{clf}", "--data", "{wide}"],
+             "the model takes 2 features, the data has 3"),
+            (["np-calibrate", "--model", "{model}", "--calibration", "{wide}",
+              "--alpha", "0.2", "--delta", "0.2"],
+             "the model takes 2 features, the data has 3"),
+            (["fit", "--mode", "mkliep", "--per-dim", "--data", "{train}", "--phi",
+              "{phi}"], "has 1 coordinates, the data has 2 features"),
+            (["fit", "--mode", "mkliep", "--data", "{train}", "--phi", "{phi}"],
+             "has 1 coordinates, the data has 2 features"),
+            (["fit", "--mode", "mkliep", "--data", "{train}", "--phi0", "{phi}"],
+             "has 1 coordinates, the data has 2 features"),
+            (["corrupt", "--data", "{latent}", "--phi", "{phi}"],
+             "has 1 coordinates, the data has 2 features"),
+            (["np-calibrate", "--model", "{model}", "--calibration", "{cal}",
+              "--alpha", "0.2", "--delta", "0.2", "--phi0", "{phi}"],
+             "has 1 coordinates, the data has 2 features"),
+            (["learn-phi", "--data", "{train}", "--latent", "{wide}", "--queries",
+              "10"], "matching shapes, got (300, 2) and (50, 3)"),
+        ],
+    )
+    def test_exits_3(self, files, mismatched, argv, named, capsys):
+        paths = {**files, **mismatched}
+        out = files["dir"] / "unused-mismatch.out"
+        rc = cli.main([a.format(**paths) for a in argv] + ["--out", str(out)])
+        assert rc == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["preprocess", "--normalize"], ["corrupt", "--target-proportion", "0.3"]],
+)
+def test_rewritten_csv_keeps_the_feature_names(tmp_path, argv):
+    src, out = tmp_path / "named.csv", tmp_path / "out.csv"
+    src.write_text("age,label,income\n31,0,1.5\n45,1,2.5\n27,0,0.5\n52,1,3.0\n")
+    assert cli.main([*argv, "--data", str(src), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "age,income,label"
+
+
 class TestConfigFile:
     def _config(self, files, name, text):
         path = files["dir"] / f"{name}.cfg"
@@ -522,6 +633,7 @@ class TestConfigFile:
              "rule = bogus"),
             (("experiment", "msd", "--scenario", "gauss5d"), "n = abc"),
             (("preprocess", "--data", "unused.csv"), "impute = yes"),
+            (("np-calibrate", "--delta", "0.2"), "alpha = 1.5"),
         ],
     )
     def test_bad_config_value_exits_2(self, files, argv, text, capsys):

@@ -160,15 +160,10 @@ def test_token_is_matched_after_stripping_and_unquoting(tmp_path, token, field):
     )
 
 
-def test_empty_field_is_missing_only_with_allow_empty(tmp_path):
+def test_empty_field_is_missing(tmp_path):
     path = _csv(tmp_path, "a,b,label\n,1,0\n2, ,1\n")
-    got = dataio.read_dataset_csv(path, allow_empty=True)
+    got = dataio.read_dataset_csv(path)
     assert _reads_as(got, [[math.nan, 1.0]], [[2.0, math.nan]])
-    with pytest.raises(DataError) as err:
-        dataio.read_dataset_csv(path, allow_empty=False)
-    assert str(err.value) == (
-        "row 2: field 'a' is neither numeric nor the missing token 'NA': ''"
-    )
 
 
 def test_last_row_without_a_line_end_is_read(tmp_path):
@@ -179,8 +174,9 @@ def test_last_row_without_a_line_end_is_read(tmp_path):
 # -- differential check against a csv.reader oracle --------------------------
 
 
-def _oracle_read(path, token, allow_empty):
-    """The reader's contract, one csv.reader row and one float at a time."""
+def _oracle_read(path, token):
+    """The reader's contract, one csv.reader row and one float at a time:
+    the two class arrays and the feature names."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -201,7 +197,7 @@ def _oracle_read(path, token, allow_empty):
             if i == li:
                 continue
             t = row[i].strip()
-            if t == token or (allow_empty and t == ""):
+            if t in (token, ""):
                 values.append(math.nan)
                 continue
             try:
@@ -219,7 +215,8 @@ def _oracle_read(path, token, allow_empty):
         by_class[label == "1"].append(values)
     if not by_class[0] or not by_class[1]:
         raise DataError("both classes must be present in the file")
-    return tuple(np.array(rows, dtype=float) for rows in by_class)
+    names = header[:li] + header[li + 1 :]
+    return (*(np.array(rows, dtype=float) for rows in by_class), names)
 
 
 # " NA" and '"NA"' are tokens that no field can match once stripped or unquoted.
@@ -265,25 +262,26 @@ def _csv_texts(draw):
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=_csv_texts(), token=st.sampled_from(TOKENS), allow_empty=st.booleans())
-def test_reader_matches_the_csv_reader_oracle(tmp_path, text, token, allow_empty):
+@given(text=_csv_texts(), token=st.sampled_from(TOKENS))
+def test_reader_matches_the_csv_reader_oracle(tmp_path, text, token):
     path = _csv(tmp_path, text)
     try:
-        want = _oracle_read(path, token, allow_empty)
+        want = _oracle_read(path, token)
     except DataError as exc:
         with pytest.raises(DataError) as err:
-            dataio.read_dataset_csv(path, token, "label", allow_empty)
+            dataio.read_dataset_csv(path, token, "label")
         assert str(err.value) == str(exc)
         return
     try:
-        got = dataio.read_dataset_csv(path, token, "label", allow_empty)
+        got = dataio.read_dataset_csv(path, token, "label")
     except DataError as exc:
         # Only Dataset's own check (no feature column) may refuse it.
         with pytest.raises(DataError) as err:
             Dataset(want[0], 0), Dataset(want[1], 1)
         assert str(err.value) == str(exc)
         return
-    for ds, arr in zip(got, want):
+    assert got[2] == want[2]
+    for ds, arr in zip(got[:2], want[:2]):
         assert ds.values.dtype == np.float64
         assert ds.values.shape == arr.shape
         assert ds.values.tobytes() == arr.tobytes()
@@ -298,8 +296,9 @@ def test_many_rows_read_bit_identical_to_the_oracle(tmp_path):
     )
     path = _csv(tmp_path, text)
     got = dataio.read_dataset_csv(path)
-    want = _oracle_read(path, "NA", True)
-    for ds, arr in zip(got, want):
+    want = _oracle_read(path, "NA")
+    assert got[2] == want[2] == ["f0", "f1", "f2"]
+    for ds, arr in zip(got[:2], want[:2]):
         assert ds.values.shape == arr.shape
         assert ds.values.tobytes() == arr.tobytes()
 

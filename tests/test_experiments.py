@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from mnar_dre.experiments import (
+    SCORE_ESTIMATORS,
+    THETA_ESTIMATORS,
+    ConfigError,
     MsdConfig,
     PowerConfig,
+    _fit_model,
     run_msd_experiment,
     run_msd_replications,
     run_power_experiment,
     run_power_replications,
 )
+from mnar_dre.scenarios import generate, make_scenario
 
 
 class TestDeterminism:
@@ -132,3 +137,130 @@ class TestPower:
         rows = run_power_experiment(cfg)
         assert rows[0]["type1_mean"] < 0.1  # binomial rule is conservative
         assert rows[0]["type1_mean"] > 0.02
+
+
+class TestEveryEstimator:
+    """Each estimator name against the values its fit gave before the
+    estimator names were mapped to fits in one function (``_fit_model``).
+    The recorded power rows are fractions of 2000 test points, and the
+    recorded theta and msd values are the fits' own floats; the tolerances
+    only absorb last-digit differences between BLAS builds."""
+
+    THETA = {
+        ("gauss5d", 1, "mkliep"): [0.14109585456582452, 0.0734220619262008,
+                                   0.04900927174691371, 0.061763948133582894,
+                                   0.05896314615412017],
+        ("gauss5d", 1, "cckliep"): [0.0943915485160011, -0.09832652408822949,
+                                    -0.04922905339802761, -0.06048149413670309,
+                                    -0.019436614295579142],
+        ("gauss5d", 1, "kliep-oracle"): [0.11496725128093306, 0.14216240068179867,
+                                         0.09584589637748239, 0.08306843412357731,
+                                         0.047877577308508355],
+        ("mixture2d-logistic", 1, "mkliep"): [-0.7960685863062623, 0.13291377216842323],
+        ("mixture2d-logistic", 1, "cckliep"): [-1.2734547412317787, -0.2577933028307175],
+        ("mixture2d-logistic", 1, "kliep-oracle"): [-0.9708905980494255,
+                                                    -0.09405109984444698],
+        ("mixture2d-logistic", 1, "nb-mkliep"): [-0.8668118528096725, 0.19116497021583218],
+        ("mixture2d-logistic", 1, "nb-cckliep"): [-1.2701552810151675,
+                                                  -0.08972280912119741],
+        ("mixture2d-logistic", 1, "nb-kliep-oracle"): [-0.9025743843350921,
+                                                       0.07133090040481403],
+        ("mixture2d-logistic", 1, "nb-mkliep-learned"): [-1.0188051176863582,
+                                                         0.07535231785591127],
+        ("mixture2d-logistic", 0, "mkliep"): [-1.1046818764250896, -0.22131465190910296],
+        ("mixture2d-logistic", 0, "cckliep"): [-0.6549923875222434, -0.02631787278290864],
+        ("mixture2d-logistic", 0, "kliep-oracle"): [-0.9708905980494255,
+                                                    -0.09405109984444698],
+        ("mixture2d-logistic", 0, "nb-mkliep"): [-1.0249628816534868, 0.09381554652448199],
+        ("mixture2d-logistic", 0, "nb-cckliep"): [-0.5875980671406924, 0.31259974645135363],
+        ("mixture2d-logistic", 0, "nb-kliep-oracle"): [-0.9025743843350921,
+                                                       0.07133090040481403],
+        ("mixture2d-logistic", 0, "nb-mkliep-learned"): [-0.9930443351929312,
+                                                         0.10944134543891314],
+    }
+    # estimator: (power_mean, type1_mean, degenerate, failed) per corrupt class
+    POWER = {
+        1: {
+            "cckliep": (0.27575, 0.08474999999999999, 0, 0),
+            "kliep-oracle": (0.308, 0.08, 0, 0),
+            "mkliep": (0.22725, 0.06875, 0, 0),
+            "nb-cckliep": (0.30700000000000005, 0.07925, 0, 0),
+            "nb-kliep-oracle": (0.286, 0.06975, 0, 0),
+            "nb-mkliep": (0.29025, 0.07225000000000001, 0, 0),
+            "nb-mkliep-learned": (0.28475, 0.06875, 0, 0),
+            "true-ratio": (0.31825, 0.079, 0, 0),
+        },
+        0: {
+            "cckliep": (0.32175, 0.1515, 0, 0),
+            "kliep-oracle": (0.49, 0.16599999999999998, 0, 0),
+            "mkliep": (0.44125000000000003, 0.1555, 0, 0),
+            "nb-cckliep": (0.27725, 0.14825, 0, 0),
+            "nb-kliep-oracle": (0.45425000000000004, 0.15375, 0, 0),
+            "nb-mkliep": (0.4565, 0.15575, 0, 0),
+            "nb-mkliep-learned": (0.4645, 0.15575, 0, 0),
+            "true-ratio": (0.49674999999999997, 0.1595, 0, 0),
+        },
+    }
+    MSD = {
+        "cckliep": 0.12362295146320273,
+        "kliep-oracle": 0.07570986353319924,
+        "mkliep": 0.10161580458983947,
+    }
+
+    def test_fitted_parameters(self):
+        for (scenario, corrupt_class, name), want in self.THETA.items():
+            draw = generate(make_scenario(scenario), 200, np.random.default_rng(3),
+                            corrupt_class)
+            model = _fit_model(name, draw, 10, np.random.default_rng(4))
+            parts = getattr(model, "per_dim", (model,))
+            got = np.concatenate([m.theta for m in parts])
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (scenario, name)
+            assert model.converged
+
+    @pytest.mark.parametrize("corrupt_class", [1, 0])
+    def test_power_rows(self, corrupt_class):
+        # Class-0 missingness makes every threshold the weighted rule's; its
+        # margin needs alpha 0.9, delta 0.5 and 20000 calibration points to
+        # leave a threshold that is not degenerate.
+        extra = (
+            dict(alpha=0.9, delta=0.5, calibration_n=20_000) if corrupt_class == 0 else {}
+        )
+        cfg = PowerConfig(
+            scenario="mixture2d-logistic", ns=(150,), reps=2, seed=5,
+            estimators=SCORE_ESTIMATORS, n_test=2000, n_type1=2000,
+            corrupt_class=corrupt_class, **extra,
+        )
+        got = {
+            r["estimator"]: (r["power_mean"], r["type1_mean"], r["degenerate"], r["failed"])
+            for r in run_power_experiment(cfg)
+        }
+        want = self.POWER[corrupt_class]
+        assert got.keys() == want.keys()
+        for name, row in want.items():
+            assert got[name] == pytest.approx(row, rel=1e-12, abs=1e-15), name
+
+    def test_msd_rows(self):
+        cfg = MsdConfig(scenario="gauss5d", ns=(200,), reps=3, seed=6,
+                        estimators=THETA_ESTIMATORS)
+        got = {r["estimator"]: r["msd_mean"] for r in run_msd_experiment(cfg)}
+        assert got == pytest.approx(self.MSD, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [dict(threshold_rule="missing"), dict(corrupt_class=0)],
+)
+def test_weighted_rule_delta_above_half_is_refused_before_any_replication(extra):
+    cfg = PowerConfig(scenario="mixture2d", ns=(50,), reps=1, delta=0.7,
+                      estimators=("true-ratio",), n_test=100, n_type1=100, **extra)
+    with pytest.raises(ConfigError, match="--delta must be at most 0.5"):
+        run_power_replications(cfg)
+
+
+def test_binomial_rule_takes_delta_above_half():
+    # Class 0 fully observed: "auto" calibrates by the binomial rule, which
+    # takes any delta in (0, 1).
+    cfg = PowerConfig(scenario="mixture2d", ns=(50,), reps=1, delta=0.7,
+                      estimators=("true-ratio",), n_test=100, n_type1=100)
+    rows = run_power_experiment(cfg)
+    assert rows[0]["failed"] == 0

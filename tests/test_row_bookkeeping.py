@@ -1,8 +1,9 @@
 """Row bookkeeping of the fit path against the plain numpy forms.
 
-``Dataset`` computes its observed-row mask once, column by column, and the
-weighting, the class terms, the calibration scores and the corruption
-select rows with index arrays.  Each is checked here, bit for bit, against
+``Dataset`` computes its observed-row mask once, column by column; the class
+terms and the calibration scores take the observed rows from it with index
+arrays and weigh those rows alone, and the corruption selects rows with
+index arrays too.  Each is checked here, bit for bit, against
 a test-local oracle written with ``~np.isnan(v).any(axis=1)`` and boolean
 row indexing, on data that includes rows with every coordinate missing and
 samples with no missing coordinate at all.  The widths d in {1, 2, 5} are
@@ -122,10 +123,12 @@ def test_cached_mask_matches_the_any_oracle(sample):
 @settings(max_examples=150, deadline=None)
 @given(_samples())
 def test_point_importance_weights_match_the_boolean_indexing_oracle(sample):
+    # The weights take the fully observed rows alone.
     values, _ = sample
+    observed = _oracle_observed(values)
     for phi in _phis(values.shape[1]):
-        want = _oracle_weights(values, phi)
-        assert np.array_equal(point_importance_weights(values, phi), want)
+        want = _oracle_weights(values, phi)[observed]
+        assert np.array_equal(point_importance_weights(values[observed], phi), want)
 
 
 @settings(max_examples=150, deadline=None)

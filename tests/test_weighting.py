@@ -12,6 +12,7 @@ from mnar_dre.model import (
     MissingnessFunction,
     Zero,
 )
+from mnar_dre.np_classify import calibration_scores
 from mnar_dre.weighting import point_importance_weights
 
 from testkit import Tabulated
@@ -36,10 +37,16 @@ def _weighted_mean(values, phi):
 
 class TestImportanceWeight:
     def test_missing_is_zero(self):
-        # any missing coordinate drops the whole row
+        # any missing coordinate drops the whole row: it weighs 0 among the
+        # calibration weights and is left out of the class terms, while the
+        # divisor still counts it
         values = np.array([[np.nan, 1.0], [2.0, np.nan], [1.0, 1.0]])
-        w = point_importance_weights(values, _coords(ConstantProb(0.5), Zero()))
+        phi = _coords(ConstantProb(0.5), Zero())
+        _, w = calibration_scores(lambda z: z[:, 0], Dataset(values, 0), phi)
         assert w.tolist() == [0.0, 0.0, 2.0]
+        t = _terms(values, phi)
+        assert t.features.tolist() == [[1.0, 1.0]]
+        assert t.weights.tolist() == [2.0] and t.divisor == 3
 
     def test_no_missingness_is_one(self):
         w = point_importance_weights(np.array([[3.0]]), _coords(Zero()))
@@ -53,11 +60,10 @@ class TestImportanceWeight:
 
     def test_vectorized_matches_scalar(self):
         entry = Tabulated(fn=lambda x: np.clip(np.abs(x) / 4.0, 0, 0.9))
-        col = np.array([[1.0], [np.nan], [-2.0]])
+        col = np.array([[1.0], [-2.0]])
         w = point_importance_weights(col, _coords(entry))
-        assert w[1] == 0.0
         assert w[0] == pytest.approx(1.0 / (1.0 - 0.25))
-        assert w[2] == pytest.approx(1.0 / (1.0 - 0.5))
+        assert w[1] == pytest.approx(1.0 / (1.0 - 0.5))
         # per-coordinate missingness: a row's weight is the product of its
         # coordinate weights
         pair = point_importance_weights(
