@@ -111,11 +111,11 @@ def _read_csv(args, path: str, require_class1: bool = True):
     )
 
 
-def _read_phi(path: str | None, dim: int) -> MissingnessFunction | None:
-    """The missingness file at ``path``, or None without one.  A file with
-    other than ``dim`` coordinates raises ``DataError`` naming both."""
+def _read_phi(path: str | None, dim: int) -> MissingnessFunction:
+    """The missingness file at ``path``, or no missingness without one.  A
+    file with other than ``dim`` coordinates raises ``DataError`` naming both."""
     if path is None:
-        return None
+        return MissingnessFunction.none(dim)
     with open(path) as fh:
         phi = dataio.missingness_from_text(fh.read())
     if phi.dim != dim:
@@ -198,9 +198,9 @@ def _cmd_fit(args) -> int:
     _require(args, "data", "out", "mode")
     class0, class1, _ = _read_csv(args, args.data)
     if args.mode == "mkliep":
-        phi1 = _read_phi(args.phi, class1.dim) or MissingnessFunction.none(class1.dim)
-        phi0 = _read_phi(args.phi0, class0.dim) or MissingnessFunction.none(class0.dim)
-        weighting = Mnar(phi1, phi0)
+        weighting = Mnar(
+            _read_phi(args.phi, class1.dim), _read_phi(args.phi0, class0.dim)
+        )
     else:
         weighting = {"cckliep": COMPLETE_CASE, "kliep": FULLY_OBSERVED}[args.mode]
     if args.per_dim:
@@ -296,12 +296,12 @@ def _cmd_corrupt(args) -> int:
                 for j in range(ds.dim)
             ]
             phi = MissingnessFunction.per_coordinate(entries)
-        else:
+        elif args.phi is not None:
             phi = _read_phi(args.phi, ds.dim)
-            if phi is None:
-                raise _UsageError(
-                    "corrupt needs --phi, --preset paper-rwe, or --target-proportion"
-                )
+        else:
+            raise _UsageError(
+                "corrupt needs --phi, --preset paper-rwe, or --target-proportion"
+            )
         by_label[label] = dataio.corrupt_dataset(ds, phi, rng)
     dataio.write_dataset_csv(
         args.out, by_label[0], by_label[1], args.missing_token or "NA",

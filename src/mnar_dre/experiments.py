@@ -116,17 +116,22 @@ def _check_estimators(scenario: Scenario, estimators, known: tuple[str, ...]) ->
             )
 
 
-def _check_delta(cfg: PowerConfig, scenario: Scenario) -> None:
-    """Refuse, before any replication runs, a delta above 1/2 where the
-    config alone makes every replication calibrate by the weighted rule:
-    rule "missing", or "auto" with class 0 corrupted, whose missingness makes
-    auto pick the weighted rule."""
-    weighted = cfg.threshold_rule == "missing" or (
-        cfg.threshold_rule == "auto"
-        and cfg.corrupt_class == 0
-        and not scenario.induced_phi.is_zero()
-    )
-    if weighted and cfg.delta > 0.5:
+def _check_rule(cfg: PowerConfig, scenario: Scenario) -> None:
+    """Refuse, before any replication runs, a threshold rule that no
+    replication can calibrate by.  The config alone fixes the rule: "auto"
+    picks the weighted rule exactly when class 0, and so its calibration
+    sample, is corrupted; the binomial rule needs a fully observed
+    calibration sample, and the weighted rule a delta of at most 1/2."""
+    corrupted0 = cfg.corrupt_class == 0 and not scenario.induced_phi.is_zero()
+    rule = cfg.threshold_rule
+    if rule == "auto":
+        rule = "missing" if corrupted0 else "binomial"
+    if rule == "binomial" and corrupted0:
+        raise ConfigError(
+            "--rule binomial needs a fully observed calibration sample, but "
+            "--corrupt-class 0 corrupts class 0's; use --rule missing or auto"
+        )
+    if rule == "missing" and cfg.delta > 0.5:
         raise ConfigError(
             "--delta must be at most 0.5 for the weighted threshold rule, got "
             f"{cfg.delta!r}"
@@ -282,7 +287,7 @@ def run_power_replications(
         runs = [(n, scenario, n) for n in cfg.ns]
     for _, scenario, _ in runs:
         _check_estimators(scenario, cfg.estimators, SCORE_ESTIMATORS)
-        _check_delta(cfg, scenario)
+        _check_rule(cfg, scenario)
     results: dict[float, dict[str, dict[str, np.ndarray]]] = {}
     for key, scenario, n in runs:
         payloads = [(cfg, scenario, n, rep) for rep in range(cfg.reps)]

@@ -72,7 +72,6 @@ class ClassTerms:
     features: np.ndarray  # (m, d) rows kept
     weights: np.ndarray  # (m,) strictly positive
     divisor: int  # n for fully-observed / MNAR, observed count for CC
-    n_total: int
 
 
 def class_terms(
@@ -105,7 +104,7 @@ def class_terms(
     else:
         weights = np.ones(rows.size)
     divisor = rows.size if mode == COMPLETE_CASE else data.n
-    return ClassTerms(fmap(observed), weights, divisor, data.n)
+    return ClassTerms(fmap(observed), weights, divisor)
 
 
 class _KliepCore:

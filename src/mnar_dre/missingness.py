@@ -53,9 +53,6 @@ class AdjustedLogisticFit:
     n_queried: int
     separated: bool = False
 
-    def prob_missing(self, z: np.ndarray) -> np.ndarray:
-        return expit(self.intercept_corrected + self.slope * np.asarray(z, dtype=float))
-
     def missingness_entry(self) -> LogisticScalar:
         # phi(z) = sigmoid(b0' + b1 z) = 1/(1 + exp(-(b0' + b1 z))): tau = -1.
         return LogisticScalar(a0=self.intercept_corrected, a1=self.slope, tau=-1)

@@ -409,8 +409,5 @@ class LogLinearRatioModel:
             scores = scores - math.log(self.normalizer)
         return scores
 
-    def ratio(self, z: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_ratio(z))
-
     def with_normalizer(self, value: float) -> "LogLinearRatioModel":
         return replace(self, normalizer=float(value))

@@ -244,14 +244,14 @@ class NpClassifier:
 def calibration_scores(
     score_fn: Callable[[np.ndarray], np.ndarray],
     calibration: Dataset,
-    phi0: MissingnessFunction | None,
+    phi0: MissingnessFunction,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scores and weights of a class-0 calibration sample.
 
     Missing calibration points (any missing coordinate) take score -inf and
     weight 0.  The fully observed rows, taken once from
-    ``Dataset.observed_rows``, are scored and weighted by 1/(1 - phi0), or 1
-    without class-0 missingness.
+    ``Dataset.observed_rows``, are scored and weighted by 1/(1 - phi0); a
+    zero ``phi0`` weighs each by exactly 1.
     """
     rows = np.flatnonzero(calibration.observed_rows())
     scores = np.full(calibration.n, -np.inf)
@@ -259,10 +259,7 @@ def calibration_scores(
     if rows.size:
         observed = calibration.values.take(rows, axis=0)
         scores[rows] = score_fn(observed)
-        if phi0 is None or phi0.is_zero():
-            weights[rows] = 1.0
-        else:
-            weights[rows] = point_importance_weights(observed, phi0)
+        weights[rows] = point_importance_weights(observed, phi0)
     return scores, weights
 
 
@@ -274,17 +271,14 @@ def _resolve_score_fn(model_or_fn) -> tuple[Callable, RatioModel | None]:
     raise TypeError("expected a ratio model or a score callable")
 
 
-def threshold_rule(
-    rule: str, calibration: Dataset, phi0: MissingnessFunction | None
-) -> str:
+def threshold_rule(rule: str, calibration: Dataset, phi0: MissingnessFunction) -> str:
     """The threshold rule, "binomial" or "missing", that ``rule`` picks for
     ``calibration`` (see ``build_np_classifier``)."""
     if rule not in ("auto", "binomial", "missing"):
         raise ValueError("rule must be 'auto', 'binomial' or 'missing'")
     if rule != "auto":
         return rule
-    no_phi0 = phi0 is None or phi0.is_zero()
-    return "binomial" if calibration.fully_observed and no_phi0 else "missing"
+    return "binomial" if calibration.fully_observed and phi0.is_zero() else "missing"
 
 
 def build_np_classifier(
@@ -310,16 +304,17 @@ def build_np_classifier(
     """
     if calibration.label != 0:
         raise DataError("calibration data must come from class 0")
+    if phi0 is None:
+        phi0 = MissingnessFunction.none(calibration.dim)
     score_fn, model = _resolve_score_fn(model_or_score_fn)
     if threshold_rule(rule, calibration, phi0) == "binomial":
         if not calibration.fully_observed:
             raise DataError("binomial rule requires a fully observed calibration set")
-        scores, _ = calibration_scores(score_fn, calibration, None)
+        scores, _ = calibration_scores(score_fn, calibration, phi0)
         result = threshold_binomial(scores, alpha, delta)
     else:
         scores, weights = calibration_scores(score_fn, calibration, phi0)
-        phi_sup = 0.0 if phi0 is None or phi0.is_zero() else phi0.sup_prob()
-        m_eff0 = calibration.n * (1.0 - phi_sup)
+        m_eff0 = calibration.n * (1.0 - phi0.sup_prob())
         result = threshold_missing(scores, weights, alpha, delta, m_eff0)
     return NpClassifier(
         score_fn=score_fn,

@@ -1,8 +1,9 @@
 """Damped Newton method for the package's smooth convex fits.
 
-KLIEP under each weighting mode (``kliep``) and the query-corrected logistic
-missingness model (``missingness``) both minimize a smooth convex function of
-d <= 10 parameters with a cheap exact Hessian.
+Three objectives run on it: KLIEP under each weighting mode (``kliep``), the
+query-corrected logistic missingness model (``missingness``), and the exact
+population objective of a scenario (``scenarios.population_theta``).  Each
+is a smooth convex function of d <= 10 parameters with a cheap exact Hessian.
 Each step solves ``hess @ step = grad`` by least squares and backtracks from
 the full step until the Armijo condition holds.  The loop is plain: fixed
 evaluation order, no randomness, so a fit is bit-reproducible for a given

@@ -54,3 +54,24 @@ def test_allow_list_names_exist_and_are_unused():
     for name in ALLOWED_UNUSED:
         assert name in exported, f"{name} is allowed but not exported"
         assert name not in loaded, f"{name} is used by the package; drop it from the list"
+
+
+def test_no_module_imports_scipy_optimize():
+    # Every fit runs on optimize.newton; a second solver would bring a second
+    # objective interface and its own stopping rule back with it.
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                # "from scipy import optimize" reads as scipy.optimize.
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name == "scipy.optimize" or name.startswith("scipy.optimize.")
+            ]
+    assert offenders == [], f"modules importing scipy.optimize: {offenders}"

@@ -427,13 +427,26 @@ class TestExperimentConfig:
             (("msd", "--scenario", "gauss5d", "--estimators", "nb-mkliep"), "'nb-mkliep'"),
             (("power", "--scenario", "bogus"), "'bogus'"),
             (("rho-sweep", "--scenario", "nb-rho", "--rho", "0.2,1.5"), "correlation"),
+            (("power", "--scenario", "mixture2d", "--rule", "binomial",
+              "--corrupt-class", "0"), "--rule binomial"),
         ],
     )
     def test_other_unrunnable_configs_exit_2(self, files, argv, named, capsys):
-        rc = cli.main(["experiment", *argv, "--n", "50", "--reps", "1",
-                       "--out", str(files["dir"] / "unused-table.csv")])
+        out = files["dir"] / "unused-table.csv"
+        rc = cli.main(["experiment", *argv, "--n", "50", "--reps", "1", "--out", str(out)])
         assert rc == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unconverged_population_parameter_exits_4(self, files, capsys):
+        # At correlation 1 - 1e-10 the optimum lies near 5e9 (1, -1), where
+        # the gradient's rounding error alone exceeds optimize.GRAD_TOL.
+        out = files["dir"] / "unused-table.csv"
+        rc = cli.main(["experiment", "msd", "--scenario", "nb-rho", "--rho",
+                       "0.9999999999", "--n", "50", "--reps", "1", "--out", str(out)])
+        assert rc == 4
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "kind, flag",

@@ -24,7 +24,7 @@ def _pair(rng, n, mu1=0.5, d=1):
 def _with_intercept(data):
     """Unit-weight class terms of the features (z, 1)."""
     f = np.hstack([data.values, np.ones((data.n, 1))])
-    return ClassTerms(f, np.ones(data.n), data.n, data.n)
+    return ClassTerms(f, np.ones(data.n), data.n)
 
 
 def _kl_variational_gradient(theta, f1, f0):

@@ -212,7 +212,7 @@ class TestLogLinearRatioModel:
         m = LogLinearRatioModel(np.array([1.0, -0.5]), FeatureMap.identity(2))
         z = np.array([[2.0, 2.0]])
         assert m.log_ratio(z) == pytest.approx([1.0])
-        assert m.ratio(z) == pytest.approx([np.e])
+        assert np.exp(m.log_ratio(z)) == pytest.approx([np.e])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -223,8 +223,8 @@ class TestLogLinearRatioModel:
         d = min(len(theta), len(point))
         theta, point = np.array(theta[:d]), np.array([point[:d]])
         fmap = FeatureMap.identity(d)
-        r_pos = LogLinearRatioModel(theta, fmap).ratio(point)[0]
-        r_neg = LogLinearRatioModel(-theta, fmap).ratio(point)[0]
+        r_pos = np.exp(LogLinearRatioModel(theta, fmap).log_ratio(point))[0]
+        r_neg = np.exp(LogLinearRatioModel(-theta, fmap).log_ratio(point))[0]
         assert r_pos > 0.0
         assert r_pos * r_neg == pytest.approx(1.0, rel=1e-12)
 

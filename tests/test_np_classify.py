@@ -236,7 +236,9 @@ class TestCalibrationScores:
 
     def test_zero_phi_gives_unit_weights(self):
         calib = Dataset(np.array([[1.0], [2.0]]), 0)
-        scores, weights = calibration_scores(lambda z: z[:, 0], calib, None)
+        scores, weights = calibration_scores(
+            lambda z: z[:, 0], calib, MissingnessFunction.none(1)
+        )
         assert np.array_equal(weights, [1.0, 1.0])
 
 

@@ -60,13 +60,16 @@ def _core(name, rng):
         z = rng.normal(size=300)
         y = (rng.random(300) < 1.0 / (1.0 + np.exp(-(0.3 + 1.2 * z)))).astype(float)
         return _logistic_nll(z, y), 2
+    if name == "population":
+        # The population objective's Hessian is its log-MGF term's.
+        return make_scenario("mixture2d").class0.log_mgf_grad_hess, 2
     d1, d0, mode = _corrupted_pair(rng)
     fmap = FeatureMap.identity_plus_squares(2)
     t1, t0 = class_terms(d1, fmap, mode, 1), class_terms(d0, fmap, mode, 0)
     return _KliepCore(t1, t0).loss_grad_hess, fmap.output_dim
 
 
-@pytest.mark.parametrize("name", ["kliep", "logistic"])
+@pytest.mark.parametrize("name", ["kliep", "logistic", "population"])
 @pytest.mark.parametrize("seed", range(3))
 def test_hessian_matches_central_differences_of_gradient(name, seed):
     rng = np.random.default_rng(seed)

@@ -84,7 +84,7 @@ def _oracle_weights(values, phi):
 
 
 def _oracle_terms(values, fmap, mode, phi=None):
-    """(features, weights, divisor, n_total) or the exception type raised."""
+    """(features, weights, divisor) or the exception type raised."""
     n = values.shape[0]
     observed = _oracle_observed(values)
     if mode == "mnar":
@@ -92,15 +92,15 @@ def _oracle_terms(values, fmap, mode, phi=None):
         keep = w > 0.0
         if not keep.any():
             return NumericError
-        return fmap(values[keep]), w[keep], n, n
+        return fmap(values[keep]), w[keep], n
     if mode == FULLY_OBSERVED:
         if not observed.all():
             return DataError
-        return fmap(values), np.ones(n), n, n
+        return fmap(values), np.ones(n), n
     if not observed.any():
         return NumericError
     m = int(observed.sum())
-    return fmap(values[observed]), np.ones(m), m, n
+    return fmap(values[observed]), np.ones(m), m
 
 
 @settings(max_examples=150, deadline=None)
@@ -147,10 +147,10 @@ def test_class_terms_match_the_boolean_indexing_oracle(sample, class_index):
                 class_terms(data, fmap, mode, class_index)
             continue
         got = class_terms(data, fmap, mode, class_index)
-        features, weights, divisor, n_total = want
+        features, weights, divisor = want
         assert np.array_equal(got.features, features)
         assert np.array_equal(got.weights, weights)
-        assert (got.divisor, got.n_total) == (divisor, n_total)
+        assert got.divisor == divisor
     if pattern == "all-missing":
         # A class with no observed rows has nothing to weight.
         for mode in (COMPLETE_CASE, *(Mnar(phi, phi) for phi in _phis(data.dim))):
@@ -171,15 +171,17 @@ def test_calibration_scores_match_the_boolean_indexing_oracle(sample):
         return z @ theta
 
     observed = _oracle_observed(values)
-    for phi0 in (None, *_phis(data.dim)):
+    for phi0 in (MissingnessFunction.none(data.dim), *_phis(data.dim)):
         seen.clear()
         scores, weights = calibration_scores(score_fn, data, phi0)
         want = np.full(data.n, -np.inf)
         if observed.any():
             want[observed] = values[observed] @ theta
         assert np.array_equal(scores, want)
-        want_w = observed.astype(float) if phi0 is None else _oracle_weights(values, phi0)
-        assert np.array_equal(weights, want_w)
+        assert np.array_equal(weights, _oracle_weights(values, phi0))
+        if phi0.is_zero():
+            # 1/(1 - 0) is exactly 1: the unit weights of a zero phi0.
+            assert np.array_equal(weights, observed.astype(float))
         assert seen == ([int(observed.sum())] if observed.any() else [])
 
 

@@ -6,7 +6,6 @@ from mnar_dre.scenarios import (
     SCENARIO_NAMES,
     generate,
     make_scenario,
-    population_objective,
     population_theta,
 )
 
@@ -86,23 +85,25 @@ class TestGenerate:
 
 class TestPopulationTheta:
     def test_gauss5d_positive_mean_shift(self):
-        # numerical maximization of the exact population objective settles the
+        # numerical minimization of the exact population objective settles the
         # sign: the optimum is +mu1, the mean shift itself
         sc = make_scenario("gauss5d")
         theta = population_theta(sc)
-        assert theta == pytest.approx(np.full(5, 0.1), abs=1e-6)
+        assert theta == pytest.approx(np.full(5, 0.1), abs=1e-12)
 
-    def test_objective_gradient_matches_finite_differences(self):
-        sc = make_scenario("mixture2d")
+    @pytest.mark.parametrize("name", ["mixture2d", "diff-var", "vary-misspec"])
+    def test_log_mgf_derivatives_match_finite_differences(self, name):
+        mix = make_scenario(name, 0.3 if name == "vary-misspec" else 0.0).class1
         theta = np.array([0.3, -0.2])
-        _, grad = population_objective(sc, theta)
-        h = 1e-7
+        _, grad, hess = mix.log_mgf_grad_hess(theta)
+        h = 1e-6
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            up, _ = population_objective(sc, theta + e)
-            dn, _ = population_objective(sc, theta - e)
-            assert (up - dn) / (2 * h) == pytest.approx(grad[i], abs=1e-6)
+            up = mix.log_mgf_grad_hess(theta + e)
+            dn = mix.log_mgf_grad_hess(theta - e)
+            assert (up[0] - dn[0]) / (2 * h) == pytest.approx(grad[i], abs=1e-8)
+            assert (up[1] - dn[1]) / (2 * h) == pytest.approx(hess[:, i], abs=1e-7)
 
     def test_plugin_oracle_agrees_with_exact(self):
         sc = make_scenario("mixture2d")
@@ -110,15 +111,15 @@ class TestPopulationTheta:
         plugin = population_theta_plugin(sc, n_draws=200_000, seed=1, restarts=1)
         assert plugin == pytest.approx(exact, abs=0.02)
 
-    def test_nb_rho_exact_linear_coefficients(self):
+    @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.6, 0.9])
+    def test_nb_rho_exact_linear_coefficients(self, rho):
         # equal-covariance Gaussians: optimal identity-feature coefficients
         # are Sigma^-1 (mu1 - mu0)
-        rho = 0.6
         sc = make_scenario("nb-rho", rho=rho)
         theta = population_theta(sc)
         sigma = np.array([[1.0, rho], [rho, 1.0]])
         expected = np.linalg.solve(sigma, np.array([-1.0, -2.0]))
-        assert theta == pytest.approx(expected, abs=1e-6)
+        assert theta == pytest.approx(expected, abs=1e-12)
 
 
 def _scenarios():
@@ -328,9 +329,8 @@ class TestGaussianMixture:
         z = np.vstack([_far_points(2), _overflow_points(2)])
         np.testing.assert_allclose(three.log_pdf(z), two.log_pdf(z), rtol=1e-15, atol=0.0)
         theta = np.array([0.3, -0.2])
-        np.testing.assert_allclose(
-            three.log_mgf_and_grad(theta)[0], two.log_mgf_and_grad(theta)[0], rtol=1e-15
-        )
+        for got, want in zip(three.log_mgf_grad_hess(theta), two.log_mgf_grad_hess(theta)):
+            np.testing.assert_allclose(got, want, rtol=1e-15)
 
     @pytest.mark.parametrize(
         "weights, match",
