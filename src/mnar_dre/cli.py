@@ -14,8 +14,9 @@ Commands::
 
 Every command is a pure function of its inputs, flags, and seed; reruns are
 byte-identical.  Flags override values from an optional ``--config`` file of
-``key = value`` lines.  Exit codes: 0 success, 2 usage error, 3 data error,
-4 numeric failure.
+``key = value`` lines.  Exit codes: 0 success, 2 usage error (a bad flag or
+``ConfigError``), 3 data error (``DataError``), 4 numeric failure
+(``NumericError``); all three error types live in ``model``.
 
 ``np-calibrate`` reads its class-0 calibration sample from its own
 ``--calibration`` file; class-1 rows there are ignored, and a file of
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 
 import numpy as np
@@ -35,18 +37,21 @@ import numpy as np
 from . import __version__, dataio, experiments, kliep, naive_bayes
 from .kliep import COMPLETE_CASE, FULLY_OBSERVED, Mnar
 from .missingness import learn_missingness
-from .model import DataError, FeatureMap, MissingnessFunction, NumericError
-from .np_classify import build_np_classifier, labels_from_scores, threshold_rule
+from .model import (
+    EPS_PHI,
+    ConfigError,
+    DataError,
+    FeatureMap,
+    MissingnessFunction,
+    NumericError,
+)
+from .np_classify import build_np_classifier, labels_from_scores
 # Unused here; benchmarks/tracing.py wraps the classify step under this name.
 from .np_classify import classify as np_classify_points  # noqa: F401
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -66,7 +71,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     }
     unknown = set(file_cfg) - set(flags)
     if unknown:
-        raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, raw in file_cfg.items():
         action = flags[key]
         if getattr(args, action.dest) != action.default:
@@ -74,7 +79,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         try:
             value = _config_value(action, raw)
         except (argparse.ArgumentTypeError, ValueError) as exc:
-            raise _UsageError(
+            raise ConfigError(
                 f"config key {key!r}: cannot parse {raw!r} ({exc})"
             ) from None
         setattr(args, action.dest, value)
@@ -94,7 +99,7 @@ def _config_value(action: argparse.Action, raw: str):
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name, None) is None:
-            raise _UsageError(f"--{name.replace('_', '-')} is required")
+            raise ConfigError(f"--{name.replace('_', '-')} is required")
 
 
 def _feature_map(kind: str | None, dim: int) -> FeatureMap:
@@ -152,15 +157,30 @@ def _float_list(text: str) -> tuple[float, ...]:
         ) from None
 
 
-def _open_unit(text: str) -> float:
-    """A number strictly between 0 and 1, such as a level alpha or delta."""
+def _number(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+
+
+def _open_unit(text: str) -> float:
+    """A number strictly between 0 and 1, such as a level alpha or delta."""
+    value = _number(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(
             f"must lie strictly between 0 and 1, got {text!r}"
+        )
+    return value
+
+
+def _proportion(text: str) -> float:
+    """A missing fraction in [0, 1 - EPS_PHI), the fractions that
+    ``dataio.solve_target_proportion`` can reach."""
+    value = _number(text)
+    if not 0.0 <= value < 1.0 - EPS_PHI:
+        raise argparse.ArgumentTypeError(
+            f"must lie in [0, {1.0 - EPS_PHI!r}), got {text!r}"
         )
     return value
 
@@ -175,17 +195,21 @@ def _class_labels(text: str) -> tuple[int, ...]:
 
 
 def _trim_spec(spec: str) -> tuple[int, tuple[float, float]]:
-    """Parse ``column:lo:hi``, with ``none`` for an open side."""
-    parts = spec.split(":")
+    """Parse ``column:lo:hi``: each bound a finite number, or ``none`` for an
+    open side, with lo <= hi."""
     try:
-        if len(parts) != 3:
+        column, lo, hi = spec.split(":")
+        if not all(t == "none" or math.isfinite(float(t)) for t in (lo, hi)):
             raise ValueError
-        lo = -float("inf") if parts[1] == "none" else float(parts[1])
-        hi = float("inf") if parts[2] == "none" else float(parts[2])
-        return int(parts[0]), (lo, hi)
+        lo = -math.inf if lo == "none" else float(lo)
+        hi = math.inf if hi == "none" else float(hi)
+        if lo > hi:
+            raise ValueError
+        return int(column), (lo, hi)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"trim spec {spec!r} must be column:lo:hi (use 'none' to skip a side)"
+            f"trim spec {spec!r} must be column:lo:hi with finite lo <= hi "
+            "(use 'none' to skip a side)"
         ) from None
 
 
@@ -229,14 +253,8 @@ def _cmd_np_calibrate(args) -> int:
     class0 = _read_csv(args, args.calibration, require_class1=False)[0]
     _check_model_dim(model, class0)
     phi0 = _read_phi(args.phi0, class0.dim)
-    rule = threshold_rule(args.rule or "auto", class0, phi0)
-    if rule == "missing" and args.delta > 0.5:
-        raise _UsageError(
-            "--delta must be at most 0.5 for the weighted threshold rule, got "
-            f"{args.delta!r}"
-        )
     clf = build_np_classifier(
-        model, class0, args.alpha, args.delta, phi0=phi0, rule=rule
+        model, class0, args.alpha, args.delta, phi0=phi0, rule=args.rule or "auto"
     )
     with open(args.out, "w") as fh:
         fh.write(dataio.classifier_to_text(clf))
@@ -299,7 +317,7 @@ def _cmd_corrupt(args) -> int:
         elif args.phi is not None:
             phi = _read_phi(args.phi, ds.dim)
         else:
-            raise _UsageError(
+            raise ConfigError(
                 "corrupt needs --phi, --preset paper-rwe, or --target-proportion"
             )
         by_label[label] = dataio.corrupt_dataset(ds, phi, rng)
@@ -313,11 +331,16 @@ def _cmd_corrupt(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     _require(args, "data", "out")
+    trim = {}
+    for column, bounds in args.trim or ():
+        if column in trim:
+            raise ConfigError(f"--trim given twice for column {column}")
+        trim[column] = bounds
     class0, class1, names = _read_csv(args, args.data)
     class0, class1 = dataio.preprocess(
         class0,
         class1,
-        trim=dict(args.trim or ()),
+        trim=trim,
         mean_impute=args.impute,
         normalize=args.normalize,
     )
@@ -341,11 +364,11 @@ def _cmd_experiment(args) -> int:
     rhos = args.rho or ()
     if args.kind == "rho-sweep":
         if not rhos:
-            raise _UsageError("rho-sweep needs --rho with a comma-separated list")
+            raise ConfigError("rho-sweep needs --rho with a comma-separated list")
         rho = 0.0
     else:
         if len(rhos) > 1:
-            raise _UsageError(f"experiment {args.kind} takes one --rho value")
+            raise ConfigError(f"experiment {args.kind} takes one --rho value")
         rho, rhos = (rhos[0] if rhos else 0.0), None
     if args.kind == "msd":
         cfg = experiments.MsdConfig(
@@ -481,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", help="missingness file to apply")
     p.add_argument("--preset", choices=["paper-rwe"],
                    help="standardized per-feature logistic with random tails")
-    p.add_argument("--target-proportion", dest="target_proportion", type=float,
+    p.add_argument("--target-proportion", dest="target_proportion", type=_proportion,
                    help="solve the logistic intercept for this missing fraction")
     p.add_argument("--classes", type=_class_labels,
                    help="comma list of class labels to corrupt "
@@ -535,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _merge_config(args, args.command_parser)
         return args.func(args)
-    except (_UsageError, experiments.ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

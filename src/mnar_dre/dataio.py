@@ -6,6 +6,11 @@ label column, and a configurable token (default "NA", empty fields allowed)
 for missing entries.  Floats are written with ``repr`` so round-trips are
 lossless.
 
+Config, model, classifier and missingness files are ``key = value`` lines,
+read by ``_kv_from_text`` and written by ``_kv_to_text``.  A model's keys
+carry a prefix: ``dimJ.`` per naive-Bayes dimension, ``model.`` inside a
+classifier file.
+
 Tables (``write_table_csv`` and the ``classify`` output of
 ``write_labels_csv``) start with a ``# key=value ...`` meta line ended by
 ``\\n``, and their header and rows are ended by ``\\r\\n``, as ``csv.writer``
@@ -473,9 +478,9 @@ def rwe_preset(
 
 
 def _kv_from_text(text: str) -> dict[str, str]:
-    """Parse the ``key = value`` lines of a config, model or classifier file;
-    ``#`` starts a comment.  A line without ``=``, or a key given twice,
-    raises ``DataError`` naming the lines."""
+    """Parse the ``key = value`` lines of a config, model, classifier or
+    missingness file; ``#`` starts a comment.  A line without ``=``, or a key
+    given twice, raises ``DataError`` naming the lines."""
     out: dict[str, str] = {}
     line_of: dict[str, int] = {}
     for line_num, line in enumerate(text.splitlines(), start=1):
@@ -488,27 +493,22 @@ def _kv_from_text(text: str) -> dict[str, str]:
                 f"line {line_num}: expected 'key = value', got {stripped!r}"
             )
         k = k.strip()
-        _refuse_repeat(line_of, k, f"key {k!r}", line_num)
+        if k in line_of:
+            # Keeping either value would be a guess.
+            raise DataError(f"lines {line_of[k]} and {line_num}: key {k!r} given twice")
+        line_of[k] = line_num
         out[k] = v.strip()
     return out
 
 
-def _refuse_repeat(line_of: dict, key, what: str, line_num: int) -> None:
-    """Record that ``key`` is set on ``line_num``; a second setting raises
-    ``DataError`` naming both lines, since keeping either would be a guess."""
-    if key in line_of:
-        raise DataError(f"lines {line_of[key]} and {line_num}: {what} given twice")
-    line_of[key] = line_num
+def _kv_to_text(items) -> str:
+    """The ``key = value`` lines of ``items``, the form ``_kv_from_text`` reads."""
+    return "".join(f"{k} = {v}\n" for k, v in items)
 
 
 def read_config_file(path) -> dict[str, str]:
     with open(path) as fh:
         return _kv_from_text(fh.read())
-
-
-def _write_kv(fh, items) -> None:
-    for k, v in items:
-        fh.write(f"{k} = {v}\n")
 
 
 def _fmt_floats(a) -> str:
@@ -524,59 +524,51 @@ def missingness_to_text(phi: MissingnessFunction) -> str:
         raise DataError(
             "only per-coordinate missingness functions have a text form"
         )
-    lines = [f"dims = {phi.dim}"]
+    items = [("dims", phi.dim)]
     for j, e in enumerate(phi.entries):
         if isinstance(e, Zero):
-            lines.append(f"{j} = zero")
+            items.append((j, "zero"))
         elif isinstance(e, ConstantProb):
-            lines.append(f"{j} = constant {float(e.p)!r}")
+            items.append((j, f"constant {float(e.p)!r}"))
         elif isinstance(e, LogisticScalar):
-            lines.append(
-                f"{j} = logistic {float(e.a0)!r} {float(e.a1)!r} {e.tau}"
-            )
+            items.append((j, f"logistic {float(e.a0)!r} {float(e.a1)!r} {e.tau}"))
         elif isinstance(e, HalfspaceIndicator) and e.direction.shape == (1,):
             side = "above" if e.direction[0] > 0 else "below"
             level = e.level / e.direction[0]
-            lines.append(f"{j} = step {float(level)!r} {float(e.p)!r} {side}")
+            items.append((j, f"step {float(level)!r} {float(e.p)!r} {side}"))
         else:
             raise DataError(f"entry {j} has no text form: {type(e).__name__}")
-    return "\n".join(lines) + "\n"
+    return _kv_to_text(items)
 
 
 def missingness_from_text(text: str) -> MissingnessFunction:
+    """Read an optional ``dims = d`` and one ``j = entry`` line per coordinate
+    ``j`` that has missingness; a coordinate without a line gets ``zero``."""
+    kv = _kv_from_text(text)
     entries_by_index: dict[int, object] = {}
-    dims = None
-    line_of: dict[int | str, int] = {}
-    for line_num, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        key, _, rest = stripped.partition("=")
-        key, rest = key.strip(), rest.strip()
+    key_of: dict[int, str] = {}
+    for key, rest in kv.items():
         if key == "dims":
-            _refuse_repeat(line_of, key, "dims", line_num)
+            continue
         # Any unparsable field, missing part or bad value lands in the except.
         try:
-            if key == "dims":
-                dims = int(rest)
-                continue
             j = int(key)
             if j < 0:
                 raise ValueError("negative coordinate index")
             parts = rest.split()
             kind = parts[0]
             if kind == "zero":
-                entries_by_index[j] = Zero()
+                entry = Zero()
             elif kind == "constant":
-                entries_by_index[j] = ConstantProb(p=float(parts[1]))
+                entry = ConstantProb(p=float(parts[1]))
             elif kind == "logistic":
-                entries_by_index[j] = LogisticScalar(
+                entry = LogisticScalar(
                     a0=float(parts[1]), a1=float(parts[2]), tau=int(parts[3])
                 )
             elif kind == "step" and parts[3] in ("above", "below"):
                 level, p, side = float(parts[1]), float(parts[2]), parts[3]
                 direction = np.array([1.0 if side == "above" else -1.0])
-                entries_by_index[j] = HalfspaceIndicator(
+                entry = HalfspaceIndicator(
                     direction=direction,
                     level=level if side == "above" else -level,
                     p=p,
@@ -585,24 +577,19 @@ def missingness_from_text(text: str) -> MissingnessFunction:
                 raise ValueError(f"unknown missingness kind {kind!r}")
         except (ValueError, IndexError) as exc:
             raise DataError(
-                f"line {line_num}: malformed missingness entry {stripped!r} ({exc})"
+                f"malformed missingness entry '{key} = {rest}' ({exc})"
             ) from None
-        _refuse_repeat(line_of, j, f"coordinate {j}", line_num)
-    if dims is None:
-        dims = (max(entries_by_index) + 1) if entries_by_index else 0
+        if j in key_of:
+            raise DataError(f"keys {key_of[j]!r} and {key!r} both set coordinate {j}")
+        key_of[j] = key
+        entries_by_index[j] = entry
+    dims = _field(kv, "dims", int, max(entries_by_index, default=-1) + 1)
     if dims < 1:
         raise DataError("missingness file declares no coordinates")
     if entries_by_index and max(entries_by_index) >= dims:
         raise DataError(f"missingness entry index outside the {dims} declared dims")
     entries = [entries_by_index.get(j, Zero()) for j in range(dims)]
     return MissingnessFunction.per_coordinate(entries)
-
-
-def _feature_map_items(fmap: FeatureMap, prefix: str = "") -> list[tuple[str, str]]:
-    return [
-        (f"{prefix}feature_map", fmap.kind),
-        (f"{prefix}input_dim", str(fmap.input_dim)),
-    ]
 
 
 def _feature_map_from(kind: str, input_dim: int) -> FeatureMap:
@@ -613,28 +600,33 @@ def _feature_map_from(kind: str, input_dim: int) -> FeatureMap:
     raise DataError(f"unknown feature map kind {kind!r}")
 
 
-def model_to_text(model) -> str:
-    buf = io.StringIO()
+def _log_linear_items(model: LogLinearRatioModel, prefix: str) -> list[tuple[str, str]]:
+    """The mirror of ``_log_linear_from_kv``."""
+    items = [
+        (f"{prefix}feature_map", model.feature_map.kind),
+        (f"{prefix}input_dim", str(model.feature_map.input_dim)),
+        (f"{prefix}theta", _fmt_floats(model.theta)),
+    ]
+    if model.normalizer is not None:
+        items.append((f"{prefix}normalizer", repr(float(model.normalizer))))
+    items.append((f"{prefix}converged", str(model.converged).lower()))
+    return items
+
+
+def _model_items(model, prefix: str = "") -> list[tuple[str, str]]:
+    """The mirror of ``_model_from_kv``."""
     if isinstance(model, LogLinearRatioModel):
-        items = [("kind", "log-linear")]
-        items += _feature_map_items(model.feature_map)
-        items.append(("theta", _fmt_floats(model.theta)))
-        if model.normalizer is not None:
-            items.append(("normalizer", repr(float(model.normalizer))))
-        items.append(("converged", str(model.converged).lower()))
-        _write_kv(buf, items)
-    elif isinstance(model, NaiveBayesRatioModel):
-        items = [("kind", "naive-bayes"), ("dims", str(model.dim))]
+        return [(f"{prefix}kind", "log-linear")] + _log_linear_items(model, prefix)
+    if isinstance(model, NaiveBayesRatioModel):
+        items = [(f"{prefix}kind", "naive-bayes"), (f"{prefix}dims", str(model.dim))]
         for j, sub in enumerate(model.per_dim):
-            items += _feature_map_items(sub.feature_map, prefix=f"dim{j}.")
-            items.append((f"dim{j}.theta", _fmt_floats(sub.theta)))
-            if sub.normalizer is not None:
-                items.append((f"dim{j}.normalizer", repr(float(sub.normalizer))))
-            items.append((f"dim{j}.converged", str(sub.converged).lower()))
-        _write_kv(buf, items)
-    else:
-        raise DataError(f"cannot serialize model of type {type(model).__name__}")
-    return buf.getvalue()
+            items += _log_linear_items(sub, f"{prefix}dim{j}.")
+        return items
+    raise DataError(f"cannot serialize model of type {type(model).__name__}")
+
+
+def model_to_text(model) -> str:
+    return _kv_to_text(_model_items(model))
 
 
 _REQUIRED = object()
@@ -699,32 +691,25 @@ def model_from_text(text: str):
 def classifier_to_text(clf: NpClassifier) -> str:
     if clf.model is None:
         raise DataError("only classifiers built from ratio models are serializable")
-    buf = io.StringIO()
     p = clf.provenance
-    _write_kv(
-        buf,
-        [
-            ("kind", "np-classifier"),
-            ("method", clf.method),
-            ("alpha", repr(float(clf.alpha))),
-            ("delta", repr(float(clf.delta))),
-            ("transform", "log"),  # scores are always the log ratio
-            ("threshold", repr(float(clf.threshold))),
-            ("i_star", "none" if p.order_index is None else str(p.order_index)),
-            ("margin", "none" if p.margin is None else repr(float(p.margin))),
-            # The paper's margin constant is the only one; the two lines keep
-            # the file format.
-            ("margin_constant", repr(PAPER_MARGIN_CONSTANT)),
-            ("degenerate", str(p.degenerate).lower()),
-            ("all_missing", str(p.all_missing).lower()),
-            ("non_paper_margin", "false"),
-            ("calibration_size", str(p.calibration_size)),
-        ],
-    )
-    for line in model_to_text(clf.model).splitlines():
-        k, _, v = line.partition(" = ")
-        buf.write(f"model.{k} = {v}\n")
-    return buf.getvalue()
+    items = [
+        ("kind", "np-classifier"),
+        ("method", clf.method),
+        ("alpha", repr(float(clf.alpha))),
+        ("delta", repr(float(clf.delta))),
+        ("transform", "log"),  # scores are always the log ratio
+        ("threshold", repr(float(clf.threshold))),
+        ("i_star", "none" if p.order_index is None else str(p.order_index)),
+        ("margin", "none" if p.margin is None else repr(float(p.margin))),
+        # The paper's margin constant is the only one; the two lines keep
+        # the file format.
+        ("margin_constant", repr(PAPER_MARGIN_CONSTANT)),
+        ("degenerate", str(p.degenerate).lower()),
+        ("all_missing", str(p.all_missing).lower()),
+        ("non_paper_margin", "false"),
+        ("calibration_size", str(p.calibration_size)),
+    ]
+    return _kv_to_text(items + _model_items(clf.model, "model."))
 
 
 def classifier_from_text(text: str) -> NpClassifier:

@@ -18,8 +18,8 @@ from scipy.special import ndtri
 from . import kliep, naive_bayes
 from .kliep import COMPLETE_CASE, FULLY_OBSERVED, Mnar
 from .missingness import learn_missingness
-from .model import Dataset, DataError, NumericError
-from .np_classify import build_np_classifier, classify
+from .model import ConfigError, Dataset, DataError, NumericError
+from .np_classify import build_np_classifier, classify, threshold_rule
 from .scenarios import Scenario, SyntheticDraw, generate, make_scenario, population_theta
 
 THETA_ESTIMATORS = ("mkliep", "cckliep", "kliep-oracle")
@@ -81,10 +81,6 @@ class PowerConfig:
         )
 
 
-class ConfigError(ValueError):
-    """An experiment configuration that no replication can run."""
-
-
 def _check_counts(cfg, fields: tuple[str, ...]) -> None:
     """Refuse a count below 1, naming the command-line flag that sets it."""
     for field in fields:
@@ -118,23 +114,15 @@ def _check_estimators(scenario: Scenario, estimators, known: tuple[str, ...]) ->
 
 def _check_rule(cfg: PowerConfig, scenario: Scenario) -> None:
     """Refuse, before any replication runs, a threshold rule that no
-    replication can calibrate by.  The config alone fixes the rule: "auto"
-    picks the weighted rule exactly when class 0, and so its calibration
-    sample, is corrupted; the binomial rule needs a fully observed
-    calibration sample, and the weighted rule a delta of at most 1/2."""
-    corrupted0 = cfg.corrupt_class == 0 and not scenario.induced_phi.is_zero()
-    rule = cfg.threshold_rule
-    if rule == "auto":
-        rule = "missing" if corrupted0 else "binomial"
-    if rule == "binomial" and corrupted0:
+    replication can calibrate by.  The config alone fixes whether class 0,
+    and so its calibration sample, is corrupted, and so the rule; the
+    binomial rule needs a fully observed calibration sample."""
+    clean0 = cfg.corrupt_class != 0 or scenario.induced_phi.is_zero()
+    rule = threshold_rule(cfg.threshold_rule, clean0, clean0, cfg.delta)
+    if rule == "binomial" and not clean0:
         raise ConfigError(
             "--rule binomial needs a fully observed calibration sample, but "
             "--corrupt-class 0 corrupts class 0's; use --rule missing or auto"
-        )
-    if rule == "missing" and cfg.delta > 0.5:
-        raise ConfigError(
-            "--delta must be at most 0.5 for the weighted threshold rule, got "
-            f"{cfg.delta!r}"
         )
 
 

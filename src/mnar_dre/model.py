@@ -24,6 +24,11 @@ EPS_PHI = 1e-3
 MAX_WEIGHT = 1.0 / EPS_PHI
 
 
+class ConfigError(ValueError):
+    """A flag, config value or setting that no run can use (maps to CLI exit
+    code 2)."""
+
+
 class DataError(ValueError):
     """Malformed or unusable input data (maps to CLI exit code 3)."""
 

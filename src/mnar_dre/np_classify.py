@@ -10,6 +10,10 @@ Two threshold selection rules over a class-0 calibration sample:
   ascending order statistic where i* is the smallest index whose exact
   Binomial(n0, 1-alpha) upper tail is at most delta.
 
+``threshold_rule`` alone picks the rule for "auto" and refuses the weighted
+rule for delta above 1/2; ``build_np_classifier`` and the experiments'
+config check both call it.
+
 Classification is strict: label 1 iff score(z) > threshold, so ties go to the
 error-controlled class.  Both rules are invariant to strictly increasing
 transforms of the score, which is why fitting the ratio up to a multiplicative
@@ -26,7 +30,13 @@ from typing import Callable, Union
 import numpy as np
 from scipy.special import gammaln
 
-from .model import Dataset, DataError, LogLinearRatioModel, MissingnessFunction
+from .model import (
+    ConfigError,
+    Dataset,
+    DataError,
+    LogLinearRatioModel,
+    MissingnessFunction,
+)
 from .naive_bayes import NaiveBayesRatioModel
 from .weighting import point_importance_weights
 
@@ -111,21 +121,10 @@ def threshold_missing(
     first_of_block = np.maximum.accumulate(np.where(block_start, np.arange(n0), 0))
     ok = suffix[first_of_block] <= cutoff
     idx = int(np.argmax(ok)) if ok.any() else None
-    if idx is None:
-        return ThresholdResult(
-            value=math.inf,
-            order_index=None,
-            degenerate=True,
-            all_missing=all_missing,
-            margin=margin,
-            calibration_size=n0,
-            method="missing-weighted",
-            m_eff0=m_eff0,
-        )
     return ThresholdResult(
-        value=float(s_sorted[idx]),
-        order_index=idx + 1,
-        degenerate=False,
+        value=math.inf if idx is None else float(s_sorted[idx]),
+        order_index=None if idx is None else idx + 1,
+        degenerate=idx is None,
         all_missing=all_missing,
         margin=margin,
         calibration_size=n0,
@@ -175,22 +174,12 @@ def threshold_binomial(
     n0 = scores.shape[0]
     log_tail = binomial_upper_tail_log(n0, 1.0 - alpha)
     ok = log_tail[1:] <= math.log(delta)  # positions i = 1..n0
-    if not ok.any():
-        return ThresholdResult(
-            value=math.inf,
-            order_index=None,
-            degenerate=True,
-            all_missing=False,
-            margin=None,
-            calibration_size=n0,
-            method="binomial",
-        )
-    i_star = int(np.argmax(ok)) + 1
-    s_sorted = np.sort(scores, kind="stable")
+    i_star = int(np.argmax(ok)) + 1 if ok.any() else None
+    value = math.inf if i_star is None else np.sort(scores, kind="stable")[i_star - 1]
     return ThresholdResult(
-        value=float(s_sorted[i_star - 1]),
+        value=float(value),
         order_index=i_star,
-        degenerate=False,
+        degenerate=i_star is None,
         all_missing=False,
         margin=None,
         calibration_size=n0,
@@ -271,14 +260,21 @@ def _resolve_score_fn(model_or_fn) -> tuple[Callable, RatioModel | None]:
     raise TypeError("expected a ratio model or a score callable")
 
 
-def threshold_rule(rule: str, calibration: Dataset, phi0: MissingnessFunction) -> str:
-    """The threshold rule, "binomial" or "missing", that ``rule`` picks for
-    ``calibration`` (see ``build_np_classifier``)."""
+def threshold_rule(rule: str, observed: bool, phi0_zero: bool, delta: float) -> str:
+    """The rule, "binomial" or "missing", that ``rule`` names; "auto" names
+    the binomial rule when the calibration sample is fully ``observed`` and
+    ``phi0_zero``.  A weighted rule with ``delta`` above 1/2, where its
+    margin is undefined, raises ``ConfigError``."""
     if rule not in ("auto", "binomial", "missing"):
-        raise ValueError("rule must be 'auto', 'binomial' or 'missing'")
-    if rule != "auto":
-        return rule
-    return "binomial" if calibration.fully_observed and phi0.is_zero() else "missing"
+        raise ConfigError("rule must be 'auto', 'binomial' or 'missing'")
+    if rule == "auto":
+        rule = "binomial" if observed and phi0_zero else "missing"
+    if rule == "missing" and delta > 0.5:
+        raise ConfigError(
+            "--delta must be at most 0.5 for the weighted threshold rule, got "
+            f"{delta!r}"
+        )
+    return rule
 
 
 def build_np_classifier(
@@ -291,7 +287,7 @@ def build_np_classifier(
 ) -> NpClassifier:
     """Calibrate a threshold on a fresh class-0 sample and wrap the score.
 
-    ``rule``:
+    ``rule`` (see ``threshold_rule``):
       * "auto"     -- binomial when the calibration sample is fully observed
                       and class 0 carries no missingness, else the weighted
                       rule (the guarantee that matches the data);
@@ -307,11 +303,11 @@ def build_np_classifier(
     if phi0 is None:
         phi0 = MissingnessFunction.none(calibration.dim)
     score_fn, model = _resolve_score_fn(model_or_score_fn)
-    if threshold_rule(rule, calibration, phi0) == "binomial":
-        if not calibration.fully_observed:
+    observed = calibration.fully_observed
+    if threshold_rule(rule, observed, phi0.is_zero(), delta) == "binomial":
+        if not observed:
             raise DataError("binomial rule requires a fully observed calibration set")
-        scores, _ = calibration_scores(score_fn, calibration, phi0)
-        result = threshold_binomial(scores, alpha, delta)
+        result = threshold_binomial(score_fn(calibration.values), alpha, delta)
     else:
         scores, weights = calibration_scores(score_fn, calibration, phi0)
         m_eff0 = calibration.n * (1.0 - phi0.sup_prob())

@@ -75,3 +75,20 @@ def test_no_module_imports_scipy_optimize():
                 if name == "scipy.optimize" or name.startswith("scipy.optimize.")
             ]
     assert offenders == [], f"modules importing scipy.optimize: {offenders}"
+
+
+def test_only_model_defines_exception_classes():
+    # The CLI maps ConfigError, DataError and NumericError, all in model.py,
+    # to exit codes 2, 3 and 4; an error class defined elsewhere would need
+    # its own mapping, or escape as a traceback.
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = [getattr(b, "id", getattr(b, "attr", "")) for b in node.bases]
+            if any(b.endswith(("Error", "Exception")) for b in bases):
+                offenders.append(f"{path.name}:{node.lineno} {node.name}")
+    assert offenders == [], f"exception classes outside model.py: {offenders}"

@@ -476,6 +476,13 @@ class TestFlagValues:
             (("corrupt", "--classes", "2"), "--classes"),
             (("corrupt", "--classes", "1,1"), "--classes"),
             (("preprocess", "--trim", "a:b:c"), "--trim"),
+            (("preprocess", "--trim", "0:nan:1"), "--trim"),
+            (("preprocess", "--trim", "0:1:0"), "--trim"),
+            (("preprocess", "--trim", "0:-inf:1"), "--trim"),
+            (("corrupt", "--target-proportion", "1.5"), "--target-proportion"),
+            (("corrupt", "--target-proportion", "-0.2"), "--target-proportion"),
+            (("corrupt", "--target-proportion", "nan"), "--target-proportion"),
+            (("corrupt", "--target-proportion", "0.999"), "--target-proportion"),
         ],
     )
     def test_bad_flag_value_exits_2(self, files, argv, flag, capsys):
@@ -483,6 +490,14 @@ class TestFlagValues:
         rc = cli.main([*argv, "--data", files["latent"], "--out", str(out)])
         assert rc == 2
         assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trim_column_given_twice_exits_2(self, files, capsys):
+        out = files["dir"] / "unused-out.csv"
+        rc = cli.main(["preprocess", "--trim", "0:-1:1", "--trim", "0:none:2",
+                       "--data", files["latent"], "--out", str(out)])
+        assert rc == 2
+        assert "--trim given twice for column 0" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -647,6 +662,7 @@ class TestConfigFile:
             (("experiment", "msd", "--scenario", "gauss5d"), "n = abc"),
             (("preprocess", "--data", "unused.csv"), "impute = yes"),
             (("np-calibrate", "--delta", "0.2"), "alpha = 1.5"),
+            (("corrupt", "--data", "unused.csv"), "target-proportion = 1.5"),
         ],
     )
     def test_bad_config_value_exits_2(self, files, argv, text, capsys):

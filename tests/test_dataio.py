@@ -433,11 +433,138 @@ def test_repeated_key_names_both_lines():
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("dims = 2\n0 = zero\ndims = 2\n", "lines 1 and 3: dims given twice"),
+        ("dims = 2\n0 = zero\ndims = 2\n", "lines 1 and 3: key 'dims' given twice"),
         ("dims = 2\n1 = zero\n01 = constant 0.5\n",
-         "lines 2 and 3: coordinate 1 given twice"),
+         "keys '1' and '01' both set coordinate 1"),
     ],
 )
 def test_missingness_repeat_names_both_lines(text, message):
     with pytest.raises(DataError, match=message):
         dataio.missingness_from_text(text)
+
+
+# Finite floats, with the values a text form is most likely to bend.
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_UNIT = st.one_of(st.sampled_from([0.0, 5e-324, 0.5, 1.0 - 2**-53]),
+                  st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@st.composite
+def _log_linear_models(draw, input_dim=None):
+    dim = input_dim or draw(st.integers(1, 4))
+    fmap = draw(st.sampled_from([FeatureMap.identity, FeatureMap.identity_plus_squares]))(dim)
+    return LogLinearRatioModel(
+        theta=np.array(draw(st.lists(_FINITE, min_size=fmap.output_dim,
+                                     max_size=fmap.output_dim))),
+        feature_map=fmap,
+        normalizer=draw(st.none() | st.floats(min_value=0.0, exclude_min=True,
+                                              allow_infinity=False)),
+        converged=draw(st.booleans()),
+    )
+
+
+_MODELS = _log_linear_models() | st.builds(
+    lambda per_dim: NaiveBayesRatioModel(per_dim=tuple(per_dim)),
+    st.lists(_log_linear_models(input_dim=1), min_size=1, max_size=4),
+)
+
+
+def _assert_models_bit_equal(back, model):
+    assert type(back) is type(model)
+    pairs = (zip(back.per_dim, model.per_dim) if isinstance(model, NaiveBayesRatioModel)
+             else [(back, model)])
+    for b, m in pairs:
+        assert (b.feature_map.kind, b.feature_map.input_dim, b.converged) == (
+            m.feature_map.kind, m.feature_map.input_dim, m.converged)
+        assert _bits(b.theta) == _bits(m.theta)
+        assert (b.normalizer is None) == (m.normalizer is None)
+        if m.normalizer is not None:
+            assert _bits(b.normalizer) == _bits(m.normalizer)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=_MODELS)
+def test_model_text_round_trips_bit_for_bit(model):
+    text = dataio.model_to_text(model)
+    back = dataio.model_from_text(text)
+    assert dataio.model_to_text(back) == text
+    _assert_models_bit_equal(back, model)
+
+
+@st.composite
+def _classifiers(draw):
+    model = draw(_MODELS)
+    weighted = draw(st.booleans())
+    degenerate = draw(st.booleans())
+    threshold = (draw(st.sampled_from([math.inf, -math.inf])) if degenerate
+                 else draw(_FINITE))
+    provenance = np_classify.ThresholdResult(
+        value=threshold,
+        order_index=None if degenerate else draw(st.integers(1, 10**6)),
+        degenerate=degenerate,
+        all_missing=weighted and draw(st.booleans()),
+        margin=draw(st.floats(min_value=0.0, exclude_min=True,
+                              allow_infinity=False)) if weighted else None,
+        calibration_size=draw(st.integers(1, 10**6)),
+        method="missing-weighted" if weighted else "binomial",
+    )
+    return np_classify.NpClassifier(
+        score_fn=model.log_ratio,
+        threshold=threshold,
+        alpha=draw(_UNIT.filter(lambda a: a > 0.0)),
+        delta=draw(_UNIT.filter(lambda a: a > 0.0)),
+        method=provenance.method,
+        provenance=provenance,
+        model=model,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(clf=_classifiers())
+def test_classifier_text_round_trips_bit_for_bit(clf):
+    text = dataio.classifier_to_text(clf)
+    back = dataio.classifier_from_text(text)
+    assert dataio.classifier_to_text(back) == text
+    _assert_models_bit_equal(back.model, clf.model)
+    for name in ("threshold", "alpha", "delta"):
+        assert _bits(getattr(back, name)) == _bits(getattr(clf, name))
+    p, q = back.provenance, clf.provenance
+    assert (p.order_index, p.degenerate, p.all_missing, p.calibration_size, p.method) == (
+        q.order_index, q.degenerate, q.all_missing, q.calibration_size, q.method)
+    assert (p.margin is None) == (q.margin is None)
+    if q.margin is not None:
+        assert _bits(p.margin) == _bits(q.margin)
+
+
+_ENTRIES = st.one_of(
+    st.just(Zero()),
+    st.builds(ConstantProb, p=_UNIT),
+    st.builds(LogisticScalar, a0=_FINITE, a1=_FINITE, tau=st.sampled_from([-1, 1])),
+    st.builds(HalfspaceIndicator, direction=st.sampled_from([np.array([1.0]),
+                                                             np.array([-1.0])]),
+              level=_FINITE, p=_UNIT),
+)
+
+
+def _entry_params(e) -> tuple:
+    fields = {Zero: (), ConstantProb: ("p",), LogisticScalar: ("a0", "a1", "tau"),
+              HalfspaceIndicator: ("direction", "level", "p")}[type(e)]
+    return (type(e),) + tuple(_bits(getattr(e, f)) for f in fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(_ENTRIES, min_size=1, max_size=5))
+def test_missingness_text_round_trips_bit_for_bit(entries):
+    phi = MissingnessFunction.per_coordinate(entries)
+    text = dataio.missingness_to_text(phi)
+    back = dataio.missingness_from_text(text)
+    assert dataio.missingness_to_text(back) == text
+    assert [_entry_params(e) for e in back.entries] == [_entry_params(e) for e in entries]

@@ -6,7 +6,6 @@ import pytest
 from mnar_dre.experiments import (
     SCORE_ESTIMATORS,
     THETA_ESTIMATORS,
-    ConfigError,
     MsdConfig,
     PowerConfig,
     _fit_model,
@@ -15,6 +14,7 @@ from mnar_dre.experiments import (
     run_power_experiment,
     run_power_replications,
 )
+from mnar_dre.model import ConfigError
 from mnar_dre.scenarios import generate, make_scenario
 
 

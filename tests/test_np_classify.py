@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from mnar_dre.model import ConstantProb, DataError, Dataset, MissingnessFunction
+from mnar_dre import np_classify
+from mnar_dre.model import (
+    ConfigError,
+    ConstantProb,
+    DataError,
+    Dataset,
+    MissingnessFunction,
+)
 from mnar_dre.np_classify import (
     NpClassifier,
     build_np_classifier,
@@ -14,6 +21,7 @@ from mnar_dre.np_classify import (
     delta_margin,
     threshold_binomial,
     threshold_missing,
+    threshold_rule,
 )
 
 
@@ -259,6 +267,36 @@ class TestBuildClassifier:
         data = Dataset(np.ones((5, 1)), 1)
         with pytest.raises(DataError, match="class 0"):
             build_np_classifier(lambda z: z[:, 0], data, 0.1, 0.1)
+
+    def test_binomial_rule_scores_without_weighing(self, monkeypatch):
+        def no_weights(*args):
+            raise AssertionError("the binomial rule needs no weights")
+
+        monkeypatch.setattr(np_classify, "point_importance_weights", no_weights)
+        calib = Dataset(np.random.default_rng(8).normal(size=(200, 2)), 0)
+        clf = build_np_classifier(lambda z: z[:, 0] - z[:, 1], calib, 0.1, 0.1)
+        want = threshold_binomial(calib.values[:, 0] - calib.values[:, 1], 0.1, 0.1)
+        assert (clf.method, clf.threshold) == ("binomial", want.value)
+
+
+@pytest.mark.parametrize(
+    "rule, observed, phi0_zero, want",
+    [
+        ("auto", True, True, "binomial"),
+        ("auto", False, True, "missing"),
+        ("auto", True, False, "missing"),
+        ("binomial", False, False, "binomial"),
+        ("missing", True, True, "missing"),
+    ],
+)
+def test_threshold_rule_resolves_auto(rule, observed, phi0_zero, want):
+    assert threshold_rule(rule, observed, phi0_zero, 0.5) == want
+    # Only the weighted rule bounds delta by 1/2.
+    if want == "binomial":
+        assert threshold_rule(rule, observed, phi0_zero, 0.7) == want
+    else:
+        with pytest.raises(ConfigError, match="--delta must be at most 0.5"):
+            threshold_rule(rule, observed, phi0_zero, 0.7)
 
 
 class TestTypeOneGuarantee:
