@@ -410,7 +410,10 @@ def corrupt_dataset(
 def solve_target_proportion(column: np.ndarray, target: float) -> LogisticScalar:
     """Find the intercept a0 of the logistic missingness phi(z) =
     1 / (1 + exp(-(a0 + z))) whose expected missing fraction on the column
-    matches ``target`` to within 0.005 (by bisection)."""
+    matches ``target`` to within 0.0025 (by bisection).
+
+    A target of 0 gets an a0 so low that phi is exactly 0 on every entry of
+    the column, which then stays fully observed."""
     if not 0.0 <= target < 1.0 - EPS_PHI:
         raise DataError(
             f"target proportion {target} is unattainable (must be < {1 - EPS_PHI})"
@@ -423,22 +426,25 @@ def solve_target_proportion(column: np.ndarray, target: float) -> LogisticScalar
     def realized(a0: float) -> float:
         return float(LogisticScalar(a0=a0, a1=1.0).prob(column).mean())
 
-    # phi is monotone in a0; expand until bracketed.
+    # phi rises with a0; expand until realized(lo) <= target <= realized(hi).
     lo, hi = -1.0, 1.0
     for _ in range(200):
         f_lo, f_hi = realized(lo), realized(hi)
-        if min(f_lo, f_hi) <= target <= max(f_lo, f_hi):
+        if f_lo <= target <= f_hi:
             break
         lo *= 2.0
         hi *= 2.0
         if hi > 1e12:
             raise DataError("failed to bracket the target proportion")
+    if f_lo == target:
+        # Only a target of 0 gets here: every phi(z) has underflowed to 0.
+        return LogisticScalar(a0=lo, a1=1.0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = realized(mid)
         if abs(f_mid - target) <= 0.0025:
             return LogisticScalar(a0=mid, a1=1.0)
-        if (f_mid < target) == (realized(lo) < target):
+        if f_mid < target:
             lo = mid
         else:
             hi = mid

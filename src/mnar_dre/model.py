@@ -23,6 +23,32 @@ import numpy as np
 EPS_PHI = 1e-3
 MAX_WEIGHT = 1.0 / EPS_PHI
 
+# Rows that the Monte Carlo path samples (``GaussianMixture.sample``) and
+# scores (``np_classify.classify``) at a time.  One block's widest temporary,
+# 8192 rows of k d float64, is 256 KiB on mixture2d (k d = 4) and 320 KiB on
+# gauss5d (k d = 5), well inside the 2 MiB L2 of a core of the 2-vCPU Xeon
+# the benchmark runs on.  Sampling and scoring whole 100k-row test sets
+# instead made 3.2 MB temporaries that the allocator handed back to the OS
+# and faulted in again on every call.  Measured with getrusage over
+# in-process ``experiment power --scenario mixture2d --n 500 --reps 1`` ops:
+# 2,703 minor page faults per op unblocked, 975 with both functions
+# blocked, and 3,060 with ``sample`` alone blocked, because ``log_pdf``
+# then faulted in the pages that ``sample`` no longer freed for it.
+ROW_BLOCK = 8192
+
+
+def row_blocks(n: int) -> list[slice]:
+    """The fewest slices of at most ``ROW_BLOCK`` rows that cover n rows,
+    their sizes differing by at most one.
+
+    Even sizes leave no 1-row block unless n is 1: numpy multiplies a 1-row
+    matrix by the BLAS matrix-vector routine, whose rounding can differ in
+    the last bit from the matrix-matrix routine that every other block, and
+    an unblocked array, goes through.
+    """
+    count = -(-n // ROW_BLOCK)
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
+
 
 class ConfigError(ValueError):
     """A flag, config value or setting that no run can use (maps to CLI exit

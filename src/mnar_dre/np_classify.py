@@ -36,6 +36,7 @@ from .model import (
     DataError,
     LogLinearRatioModel,
     MissingnessFunction,
+    row_blocks,
 )
 from .naive_bayes import NaiveBayesRatioModel
 from .weighting import point_importance_weights
@@ -336,8 +337,16 @@ def labels_from_scores(scores: np.ndarray, threshold: float) -> np.ndarray:
 
 def classify(clf: NpClassifier, z: np.ndarray) -> np.ndarray:
     """Labels of the points ``z`` by ``labels_from_scores``; an infinite
-    threshold fixes every label, so the points are then not scored."""
+    threshold fixes every label, so the points are then not scored.
+
+    The points are scored a row block (``model.row_blocks``) at a time, so
+    the score function's temporaries stay cache-sized whatever the number
+    of points; every score function here scores each row on its own.
+    """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if math.isinf(clf.threshold):
         return labels_from_scores(np.empty(z.shape[0]), clf.threshold)
-    return labels_from_scores(clf.score_fn(z), clf.threshold)
+    labels = np.empty(z.shape[0], dtype=int)
+    for rows in row_blocks(z.shape[0]):
+        labels[rows] = labels_from_scores(clf.score_fn(z[rows]), clf.threshold)
+    return labels

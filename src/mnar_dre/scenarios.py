@@ -3,11 +3,13 @@
 Every scenario's class distributions are Gaussian mixtures, which gives three
 exact tools used throughout the experiments:
 
-* sampling: component labels and standard normals are drawn, then one
+* sampling: the component labels are counted from uniforms, the same draw,
+  and so the same stream, as ``rng.choice(k, size=n, p=w)``.  Then, one row
+  block (``model.row_blocks``) at a time, standard normals are drawn, one
   matmul against every component's stacked Cholesky factor L_k' transforms
-  the normals under all components, and each row keeps its own component's
-  transform plus that component's mean.  The labels come from the same
-  uniform draw, and so the same stream, as ``rng.choice(k, size=n, p=w)``,
+  them under all components, and each row keeps its own component's
+  transform plus that component's mean.  Blocked draws give the numbers of
+  one draw, so the blocks bound the temporaries and change no sample,
 * the analytic log density ratio for oracle classifiers: each component's
   log density is log_norm_k - |W_k' z' - W_k' mu_k'|^2 / 2 with the whitening
   factor W_k = inv(L_k)'.  The points are evaluated component-major: one
@@ -35,6 +37,7 @@ from .model import (
     LogisticScalar,
     MissingnessFunction,
     NumericError,
+    row_blocks,
 )
 from .optimize import newton
 
@@ -112,19 +115,31 @@ class GaussianMixture:
         # rng.choice(k, size=n, p=w) without its searchsorted: the same
         # random(n) draw, so the same labels and the same generator state.
         # Draw i's component is the number of cdf[:-1] entries at or below u_i.
-        u = rng.random(n)
-        # np.full, not np.zeros: a large np.zeros is fresh calloc'd pages,
-        # which fault in on every call.
-        comp = np.full(n, 0, dtype=np.intp)
-        for edge in self._cdf[:-1]:
-            comp += u >= edge
-        del u  # freed before the normals: a smaller peak, see log_pdf
-        eps = rng.standard_normal((n, d))
-        # Row i of the (n * k, d) candidates is draw i // k under component
-        # i % k; one flat take keeps each draw's own component.
-        cand = (eps @ self._chols_t_stacked).reshape(n * k, d)
-        out = cand.take(np.arange(0, n * k, k) + comp, axis=0)
-        out += self.means.take(comp, axis=0)
+        # Consecutive random and standard_normal calls give the numbers of
+        # one call, so every draw is taken a row block at a time, which keeps
+        # the temporaries cache-sized; all the uniforms still come before all
+        # the normals, as in choice then standard_normal((n, d)).
+        blocks = row_blocks(n)
+        comp = np.empty(n, dtype=np.min_scalar_type(k))
+        for rows in blocks:
+            labels = comp[rows]
+            u = rng.random(labels.size)
+            labels.fill(0)
+            for edge in self._cdf[:-1]:
+                labels += u >= edge
+        out = np.empty((n, d))
+        for rows in blocks:
+            labels = comp[rows]
+            b = labels.size
+            eps = rng.standard_normal((b, d))
+            # Row i of the (b k, d) candidates is draw i // k under component
+            # i % k; one flat take keeps each draw's own component.  The
+            # indices lie in range, so "clip" clips nothing; it spares the
+            # buffer that the default "raise" copies the output through.
+            cand = (eps @ self._chols_t_stacked).reshape(b * k, d)
+            idx = np.arange(0, b * k, k) + labels
+            cand.take(idx, axis=0, out=out[rows], mode="clip")
+            out[rows] += self.means.take(labels, axis=0)
         return out
 
     def log_pdf(self, z: np.ndarray) -> np.ndarray:

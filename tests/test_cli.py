@@ -612,6 +612,14 @@ def test_rewritten_csv_keeps_the_feature_names(tmp_path, argv):
     assert out.read_text().splitlines()[0] == "age,income,label"
 
 
+def test_corrupt_to_a_target_proportion_of_0_keeps_every_entry(files, tmp_path):
+    out = tmp_path / "out.csv"
+    assert cli.main(["corrupt", "--data", files["latent"], "--target-proportion", "0",
+                     "--classes", "0,1", "--out", str(out)]) == 0
+    class0, class1, _ = dataio.read_dataset_csv(str(out))
+    assert class0.fully_observed and class1.fully_observed
+
+
 class TestConfigFile:
     def _config(self, files, name, text):
         path = files["dir"] / f"{name}.cfg"

@@ -568,3 +568,14 @@ def test_missingness_text_round_trips_bit_for_bit(entries):
     back = dataio.missingness_from_text(text)
     assert dataio.missingness_to_text(back) == text
     assert [_entry_params(e) for e in back.entries] == [_entry_params(e) for e in entries]
+
+
+@pytest.mark.parametrize("target", [0.0, 1e-6, 0.1, 0.5, 0.9])
+def test_solve_target_proportion_meets_the_target(target):
+    column = np.random.default_rng(2).normal(scale=3.0, size=500)
+    column[::7] = np.nan  # missing entries take no part
+    phi = dataio.solve_target_proportion(column, target)
+    probs = phi.prob(column[~np.isnan(column)])
+    assert abs(probs.mean() - target) <= 0.0025
+    if target == 0.0:
+        assert probs.max() == 0.0

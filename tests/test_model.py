@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mnar_dre.model import (
+    ROW_BLOCK,
     ConstantProb,
     DataError,
     Dataset,
@@ -13,6 +14,7 @@ from mnar_dre.model import (
     LogLinearRatioModel,
     MissingnessFunction,
     Zero,
+    row_blocks,
 )
 from mnar_dre.np_classify import build_np_classifier, delta_margin
 
@@ -245,3 +247,17 @@ class TestLogLinearRatioModel:
         m = LogLinearRatioModel(np.zeros(1), FeatureMap.identity(1))
         m2 = m.with_normalizer(np.e)
         assert m2.log_ratio(np.array([[1.0]])) == pytest.approx([-1.0])
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 1, 100_000]
+)
+def test_row_blocks_cover_the_rows_in_order_in_even_blocks(n):
+    blocks = row_blocks(n)
+    assert len(blocks) == -(-n // ROW_BLOCK)
+    assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+    sizes = [rows.stop - rows.start for rows in blocks]
+    assert max(sizes, default=0) <= ROW_BLOCK
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
+    # A 1-row block would go through BLAS's matrix-vector routine.
+    assert n == 1 or 1 not in sizes

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mnar_dre.model import ROW_BLOCK
 from mnar_dre.scenarios import (
     GaussianMixture,
     SCENARIO_NAMES,
@@ -9,7 +10,7 @@ from mnar_dre.scenarios import (
     population_theta,
 )
 
-from testkit import population_theta_plugin
+from testkit import population_theta_plugin, traced_peak
 
 
 class TestGenerate:
@@ -126,6 +127,12 @@ def _scenarios():
     """Every scenario, with nb-rho correlated and vary-misspec a true mixture."""
     params = {"nb-rho": 0.6, "vary-misspec": 0.3}
     return [make_scenario(name, params.get(name, 0.0)) for name in SCENARIO_NAMES]
+
+
+# Sizes on each side of one row block, and three blocks and a row: sample and
+# classify work a block at a time, and their results may not show where the
+# blocks end.
+_BLOCK_EDGES = [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 1]
 
 
 def _masked_sample(mix, n, rng):
@@ -270,7 +277,7 @@ class TestGaussianMixture:
         ["gauss5d", "nb-rho", "mixture2d", "vary-misspec", "mixture2d-logistic",
          "diff-var"],
     )
-    @pytest.mark.parametrize("n", [0, 1, 1000, 100000])
+    @pytest.mark.parametrize("n", [0, 1, 1000, 100000] + _BLOCK_EDGES)
     def test_sample_bit_identical_to_masked_sampler(self, name, n):
         # gauss5d and nb-rho have one component: the sampler must still draw
         # the component labels, or the normals come from another stream.
@@ -296,7 +303,7 @@ class TestGaussianMixture:
             [1e-6, 1e-6, 0.5, 0.5 - 2e-6],
         ],
     )
-    @pytest.mark.parametrize("n", [0, 1, 7, 100000])
+    @pytest.mark.parametrize("n", [0, 1, 7, 100000] + _BLOCK_EDGES)
     def test_sample_draws_the_components_rng_choice_draws(self, weights, n):
         # sample replaces rng.choice(k, size=n, p=w) by its own count over
         # the cdf; the labels and the stream must stay choice's own.  Means
@@ -314,6 +321,19 @@ class TestGaussianMixture:
             oracle_rng.standard_normal((n, 2))
             assert np.array_equal(np.rint(got[:, 0] / 10.0).astype(int), comp)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_sample_peak_memory_is_its_result_plus_four_blocks(self):
+        # Bound fixed before the first run: the (n, d) result, the n labels,
+        # and four blocks of ROW_BLOCK rows of k d float64 (one block's
+        # normals, their transforms under every component, the means taken
+        # per row, and the next block's normals).  Unblocked, 100k gauss5d
+        # rows peaked at 16.8 MB against a 4.0 MB result.
+        mix = make_scenario("gauss5d").class1
+        k, d, n = mix.weights.size, mix.dim, 100_000
+        out, peak = traced_peak(lambda: mix.sample(n, np.random.default_rng(0)))
+        assert out.nbytes == n * d * 8
+        labels = n * np.min_scalar_type(k).itemsize
+        assert peak <= out.nbytes + labels + 4 * ROW_BLOCK * k * d * 8
 
     def test_zero_weight_component_adds_nothing(self):
         three = GaussianMixture(

@@ -1,8 +1,10 @@
-"""Helpers that only the tests use: a callable-backed missingness entry and a
-simulation cross-check of the exact population oracle."""
+"""Helpers that only the tests use: a callable-backed missingness entry, a
+simulation cross-check of the exact population oracle, and the peak memory
+of one call."""
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,3 +67,17 @@ def population_theta_plugin(
         if best is None or res.fun < best.fun:
             best = res
     return np.asarray(best.x, dtype=float)
+
+
+def traced_peak(call: Callable[[], object]) -> tuple[object, int]:
+    """``call()``'s result and the peak bytes allocated while it ran.
+
+    tracemalloc sees numpy's array buffers as well as Python objects, and
+    counts nothing allocated before the call, so the peak is deterministic.
+    """
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
