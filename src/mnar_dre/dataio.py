@@ -410,7 +410,8 @@ def corrupt_dataset(
 def solve_target_proportion(column: np.ndarray, target: float) -> LogisticScalar:
     """Find the intercept a0 of the logistic missingness phi(z) =
     1 / (1 + exp(-(a0 + z))) whose expected missing fraction on the column
-    matches ``target`` to within 0.0025 (by bisection).
+    matches ``target`` to within min(0.0025, 0.01 target) (by bisection):
+    within 0.0025 from a target of 0.25 up, and within 1% of smaller ones.
 
     A target of 0 gets an a0 so low that phi is exactly 0 on every entry of
     the column, which then stays fully observed."""
@@ -439,10 +440,11 @@ def solve_target_proportion(column: np.ndarray, target: float) -> LogisticScalar
     if f_lo == target:
         # Only a target of 0 gets here: every phi(z) has underflowed to 0.
         return LogisticScalar(a0=lo, a1=1.0)
+    tol = min(0.0025, 0.01 * target)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = realized(mid)
-        if abs(f_mid - target) <= 0.0025:
+        if abs(f_mid - target) <= tol:
             return LogisticScalar(a0=mid, a1=1.0)
         if f_mid < target:
             lo = mid

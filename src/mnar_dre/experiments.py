@@ -130,6 +130,13 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
+def _draws_from_rng(name: str) -> bool:
+    """Whether ``_fit_model(name, ...)`` draws from its generator: only the
+    learned-missingness estimators do, for their queries.  ``_power_rep``
+    orders its stream by this."""
+    return name.removeprefix("nb-") == "mkliep-learned"
+
+
 def _fit_model(
     name: str,
     draw: SyntheticDraw,
@@ -154,7 +161,7 @@ def _fit_model(
         data, mode = corrupted, COMPLETE_CASE
     elif base == "kliep-oracle":
         data, mode = (draw.latent1, draw.latent0), FULLY_OBSERVED
-    elif base == "mkliep-learned":
+    elif _draws_from_rng(name):
         phi1_hat = learn_missingness(draw.corrupted1, draw.latent1, queries, rng)
         phi0_hat = learn_missingness(draw.corrupted0, draw.latent0, queries, rng)
         data, mode = corrupted, Mnar(phi1_hat, phi0_hat)
@@ -180,6 +187,20 @@ def _msd_rep(payload) -> dict[str, float]:
 
 
 def _power_rep(payload) -> dict[str, tuple[float, float, bool]]:
+    """(power, Type I error, degenerate) of each estimator in one replication.
+
+    The stream of ``rng`` is: the training draw, the calibration sample, the
+    ``n_test`` class-1 test points, the ``n_type1`` class-0 test points, and
+    then the queries of each estimator whose fit draws (``_draws_from_rng``).
+    The test points are drawn a row block at a time
+    (``GaussianMixture.sample_blocks``) and each block is classified as it
+    is drawn, by every classifier that exists by then, so the replication
+    keeps only their counts of positive labels: power and Type I error are
+    count / n.  The other estimators draw nothing, so their classifiers are
+    built before the test points.  When an estimator that draws is asked
+    for, the blocks are kept, and it scores them once it is fitted.  An
+    estimator whose fit or calibration fails gives NaNs.
+    """
     cfg, scenario, n, rep = payload
     rng = _rep_rng(cfg.seed, rep)
     draw = generate(scenario, n, rng, cfg.corrupt_class)
@@ -188,28 +209,57 @@ def _power_rep(payload) -> dict[str, tuple[float, float, bool]]:
     if cfg.corrupt_class == 0:
         calib_values = draw.phi0.corrupt(calib_values, rng)
     calibration = Dataset(calib_values, 0)
-    test1 = scenario.class1.sample(cfg.n_test, rng)
-    test0 = scenario.class0.sample(cfg.n_type1, rng)
+
+    def build(names):
+        """The classifier of each name; None for one that failed."""
+        clfs = {}
+        for name in names:
+            try:
+                if name == "true-ratio":
+                    model = draw.true_log_ratio
+                else:
+                    model = _fit_model(name, draw, cfg.queries, rng)
+                clfs[name] = build_np_classifier(
+                    model,
+                    calibration,
+                    cfg.alpha,
+                    cfg.delta,
+                    phi0=draw.phi0,
+                    rule=cfg.threshold_rule,
+                )
+            except (NumericError, DataError):
+                clfs[name] = None
+        return clfs
+
+    def count_positives(clfs, block, count):
+        for name, clf in clfs.items():
+            if clf is not None:
+                count[name] += int(np.count_nonzero(classify(clf, block)))
+
+    learned = [name for name in cfg.estimators if _draws_from_rng(name)]
+    clfs = build([name for name in cfg.estimators if name not in learned])
+    tests = ((scenario.class1, cfg.n_test), (scenario.class0, cfg.n_type1))
+    counts = (dict.fromkeys(cfg.estimators, 0), dict.fromkeys(cfg.estimators, 0))
+    kept = ([], [])
+    for (mix, size), count, keep in zip(tests, counts, kept):
+        for block in mix.sample_blocks(size, rng):
+            count_positives(clfs, block, count)
+            if learned:
+                keep.append(block)
+    learned_clfs = build(learned)
+    for count, keep in zip(counts, kept):
+        for block in keep:
+            count_positives(learned_clfs, block, count)
+    clfs |= learned_clfs
     out = {}
     for name in cfg.estimators:
-        try:
-            if name == "true-ratio":
-                model = draw.true_log_ratio
-            else:
-                model = _fit_model(name, draw, cfg.queries, rng)
-            clf = build_np_classifier(
-                model,
-                calibration,
-                cfg.alpha,
-                cfg.delta,
-                phi0=draw.phi0,
-                rule=cfg.threshold_rule,
-            )
-            power = float(classify(clf, test1).mean())
-            type1 = float(classify(clf, test0).mean())
-            out[name] = (power, type1, clf.provenance.degenerate)
-        except (NumericError, DataError):
+        clf = clfs[name]
+        if clf is None:
             out[name] = (math.nan, math.nan, False)
+        else:
+            power = counts[0][name] / cfg.n_test
+            type1 = counts[1][name] / cfg.n_type1
+            out[name] = (power, type1, clf.provenance.degenerate)
     return out
 
 

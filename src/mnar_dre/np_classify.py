@@ -341,7 +341,10 @@ def classify(clf: NpClassifier, z: np.ndarray) -> np.ndarray:
 
     The points are scored a row block (``model.row_blocks``) at a time, so
     the score function's temporaries stay cache-sized whatever the number
-    of points; every score function here scores each row on its own.
+    of points; every score function here scores each row on its own.  A
+    power replication (``experiments._power_rep``) calls it on each row
+    block of its test points as the block is drawn, and keeps only the
+    count of positive labels.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if math.isinf(clf.threshold):

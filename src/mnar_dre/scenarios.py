@@ -9,7 +9,11 @@ exact tools used throughout the experiments:
   matmul against every component's stacked Cholesky factor L_k' transforms
   them under all components, and each row keeps its own component's
   transform plus that component's mean.  Blocked draws give the numbers of
-  one draw, so the blocks bound the temporaries and change no sample,
+  one draw, so the blocks bound the temporaries and change no sample.
+  ``sample_blocks`` yields the blocks as they are drawn, so a caller that
+  only scores the draws, like a power replication's Monte Carlo test sets,
+  never holds all n of them; ``sample`` writes the same blocks into one
+  array,
 * the analytic log density ratio for oracle classifiers: each component's
   log density is log_norm_k - |W_k' z' - W_k' mu_k'|^2 / 2 with the whitening
   factor W_k = inv(L_k)'.  The points are evaluated component-major: one
@@ -27,7 +31,7 @@ exact tools used throughout the experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -110,7 +114,18 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_blocks(
+        self, n: int, rng: np.random.Generator
+    ) -> Iterator[np.ndarray]:
+        """The n draws of ``sample``, yielded one row block
+        (``model.row_blocks(n)``) at a time, as new (rows, d) arrays.
+
+        The stream draws from ``rng`` only while it runs: the first block
+        draws all n component labels, and every block then its own
+        normals.  A caller that draws nothing else from ``rng`` until the
+        stream is spent gets the numbers of ``sample`` and leaves the same
+        generator state.
+        """
         k, d = self.weights.size, self.dim
         # rng.choice(k, size=n, p=w) without its searchsorted: the same
         # random(n) draw, so the same labels and the same generator state.
@@ -127,19 +142,26 @@ class GaussianMixture:
             labels.fill(0)
             for edge in self._cdf[:-1]:
                 labels += u >= edge
-        out = np.empty((n, d))
         for rows in blocks:
             labels = comp[rows]
             b = labels.size
             eps = rng.standard_normal((b, d))
             # Row i of the (b k, d) candidates is draw i // k under component
-            # i % k; one flat take keeps each draw's own component.  The
-            # indices lie in range, so "clip" clips nothing; it spares the
-            # buffer that the default "raise" copies the output through.
+            # i % k; one flat take keeps each draw's own component.  Each
+            # temporary is freed once spent, which keeps a block's peak low
+            # while the caller still holds the last block.
             cand = (eps @ self._chols_t_stacked).reshape(b * k, d)
-            idx = np.arange(0, b * k, k) + labels
-            cand.take(idx, axis=0, out=out[rows], mode="clip")
-            out[rows] += self.means.take(labels, axis=0)
+            del eps
+            block = cand.take(np.arange(0, b * k, k) + labels, axis=0)
+            del cand
+            block += self.means.take(labels, axis=0)
+            yield block
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n draws, the blocks of ``sample_blocks`` written into one array."""
+        out = np.empty((n, self.dim))
+        for rows, block in zip(row_blocks(n), self.sample_blocks(n, rng)):
+            out[rows] = block
         return out
 
     def log_pdf(self, z: np.ndarray) -> np.ndarray:

@@ -386,6 +386,26 @@ def test_classify_output_matches_the_dictwriter_oracle(tmp_path):
     assert out.read_bytes() == _oracle_table(rows, {"classifier": str(clf_path)})
 
 
+@pytest.mark.parametrize("sizes", [(0, 3), (4, 0), (1, 1), (0, 0)])
+def test_labels_with_an_empty_class_match_the_dictwriter_oracle(tmp_path, sizes):
+    rng = np.random.default_rng(sum(sizes))
+    classified = []
+    for truth, n in enumerate(sizes):
+        scores = rng.normal(size=n)
+        scores[: n // 2] = [-0.0, math.inf][: n // 2]
+        classified.append((truth, scores, (scores > 0.1).astype(int)))
+    out = tmp_path / "labels.csv"
+    dataio.write_labels_csv(out, classified, {"classifier": "c.txt"})
+    rows = [
+        {"true_label": truth, "score": float(s), "label": int(lab)}
+        for truth, scores, labels in classified
+        for s, lab in zip(scores, labels)
+    ]
+    header = "# classifier=c.txt\ntrue_label,score,label\r\n"
+    want = _oracle_table(rows, {"classifier": "c.txt"}) if rows else header.encode()
+    assert out.read_bytes() == want
+
+
 def _text_forms():
     """(text, reader, writer) for every key = value file the package writes."""
     rng = np.random.default_rng(9)
@@ -579,3 +599,13 @@ def test_solve_target_proportion_meets_the_target(target):
     assert abs(probs.mean() - target) <= 0.0025
     if target == 0.0:
         assert probs.max() == 0.0
+
+
+def test_small_target_proportion_is_met_within_one_percent():
+    # The stated tolerance is min(0.0025, 0.01 target): 2e-5 at a target of
+    # 0.002, which an absolute 0.0025 left free to come back anywhere in
+    # [0, 0.0045].
+    column = np.random.default_rng(4).normal(scale=3.0, size=20_000)
+    target = 0.002
+    phi = dataio.solve_target_proportion(column, target)
+    assert abs(phi.prob(column).mean() - target) <= 0.01 * target

@@ -8,14 +8,18 @@ from mnar_dre.experiments import (
     THETA_ESTIMATORS,
     MsdConfig,
     PowerConfig,
+    _draws_from_rng,
     _fit_model,
+    _power_rep,
     run_msd_experiment,
     run_msd_replications,
     run_power_experiment,
     run_power_replications,
 )
-from mnar_dre.model import ConfigError
+from mnar_dre.model import ROW_BLOCK, ConfigError
 from mnar_dre.scenarios import generate, make_scenario
+
+from testkit import power_rep_materialized, traced_peak
 
 
 class TestDeterminism:
@@ -264,3 +268,67 @@ def test_binomial_rule_takes_delta_above_half():
                       estimators=("true-ratio",), n_test=100, n_type1=100)
     rows = run_power_experiment(cfg)
     assert rows[0]["failed"] == 0
+
+
+class TestStreamedPowerReplication:
+    """``_power_rep`` draws and scores its test sets a row block at a time;
+    ``testkit.power_rep_materialized`` holds them whole, as it did before."""
+
+    @pytest.mark.parametrize(
+        "scenario, estimators, corrupt_class, level",
+        [
+            ("mixture2d", PowerConfig.estimators, 1, 0.1),
+            ("gauss5d", PowerConfig.estimators, 0, 0.3),
+            ("nb-rho", ("true-ratio", "nb-mkliep-learned", "mkliep", "nb-mkliep"), 1, 0.1),
+            ("gauss5d", ("nb-mkliep-learned", "cckliep", "nb-mkliep-learned"), 0, 0.3),
+        ],
+    )
+    def test_matches_the_materialized_replication_bit_for_bit(
+        self, scenario, estimators, corrupt_class, level
+    ):
+        # A weighted rule (class 0 corrupted) needs a looser alpha and delta
+        # than 0.1 to leave a threshold that is not degenerate at n = 600.
+        cfg = PowerConfig(
+            scenario=scenario, estimators=estimators, corrupt_class=corrupt_class,
+            alpha=level, delta=level, n_test=3 * ROW_BLOCK + 1,
+            n_type1=ROW_BLOCK + 1, seed=4,
+        )
+        sc = make_scenario(scenario, 0.5 if scenario == "nb-rho" else 0.0)
+        for rep in range(2):
+            got = _power_rep((cfg, sc, 600, rep))
+            want = power_rep_materialized((cfg, sc, 600, rep))
+            assert list(got) == list(want)
+            for name in want:
+                assert np.array(got[name][:2]).tobytes() == np.array(want[name][:2]).tobytes()
+                assert got[name][2] is want[name][2]
+                assert 0.0 < got[name][0] < 1.0 and not got[name][2], name
+
+    def test_every_estimator_whose_fit_draws_is_flagged(self):
+        # _power_rep fits the flagged estimators after its test sets, so one
+        # that drew unflagged would move the test points of every table.
+        draw = generate(make_scenario("mixture2d-logistic"), 200,
+                        np.random.default_rng(3), 1)
+        for name in SCORE_ESTIMATORS:
+            rng = np.random.default_rng(5)
+            before = rng.bit_generator.state
+            if name != "true-ratio":
+                _fit_model(name, draw, 10, rng)
+            assert (rng.bit_generator.state != before) == _draws_from_rng(name), name
+
+    def test_peak_memory_does_not_hold_the_test_sets(self):
+        # Bounds fixed before the first run.  At 2 x 100k mixture2d test
+        # points the replication held 4.3 MB (its 3.2 MB of test points and
+        # a label array per classify call); streamed, it was expected near
+        # 1.2 MB.  From 2 x 50k to 2 x 200k points the peak may grow by the
+        # 150k extra one-byte component labels, plus 256 KiB for the larger
+        # row blocks (7,143 rows at 50k, 8,000 at 200k) and their scoring
+        # temporaries.
+        sc = make_scenario("mixture2d")
+
+        def peak(n_test):
+            cfg = PowerConfig(scenario="mixture2d", n_test=n_test, n_type1=n_test)
+            return traced_peak(lambda: _power_rep((cfg, sc, 500, 0)))[1]
+
+        peak(1000)  # leaves the one-time allocations of the first call untraced
+        assert peak(100_000) <= 1_500_000
+        assert peak(200_000) - peak(50_000) <= 150_000 + 256 * 1024

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mnar_dre.model import ROW_BLOCK
+from mnar_dre.model import ROW_BLOCK, row_blocks
 from mnar_dre.scenarios import (
     GaussianMixture,
     SCENARIO_NAMES,
@@ -290,6 +290,21 @@ class TestGaussianMixture:
             assert np.array_equal(got, expected)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
+    @pytest.mark.parametrize("n", [1] + _BLOCK_EDGES)
+    def test_sample_blocks_concatenate_to_sample(self, n):
+        # The blocks are those of row_blocks(n), each a new array, and the
+        # spent stream leaves the generator where sample leaves it.
+        for mix in (make_scenario("mixture2d").class1, _three_component_mixture()):
+            rng, whole_rng = np.random.default_rng(8), np.random.default_rng(8)
+            blocks = list(mix.sample_blocks(n, rng))
+            whole = mix.sample(n, whole_rng)
+            assert [b.shape[0] for b in blocks] == [
+                rows.stop - rows.start for rows in row_blocks(n)
+            ]
+            assert all(b.flags.c_contiguous and b.flags.owndata for b in blocks)
+            assert np.concatenate(blocks).tobytes() == whole.tobytes()
+            assert rng.bit_generator.state == whole_rng.bit_generator.state
+
     @pytest.mark.parametrize(
         "weights",
         [
@@ -324,10 +339,11 @@ class TestGaussianMixture:
 
     def test_sample_peak_memory_is_its_result_plus_four_blocks(self):
         # Bound fixed before the first run: the (n, d) result, the n labels,
-        # and four blocks of ROW_BLOCK rows of k d float64 (one block's
-        # normals, their transforms under every component, the means taken
-        # per row, and the next block's normals).  Unblocked, 100k gauss5d
-        # rows peaked at 16.8 MB against a 4.0 MB result.
+        # and four blocks of ROW_BLOCK rows of k d float64 (the block that
+        # sample_blocks last yielded, which sample still holds, and the next
+        # block's normals, their transforms under every component and its
+        # rows taken from them).  Unblocked, 100k gauss5d rows peaked at
+        # 16.8 MB against a 4.0 MB result.
         mix = make_scenario("gauss5d").class1
         k, d, n = mix.weights.size, mix.dim, 100_000
         out, peak = traced_peak(lambda: mix.sample(n, np.random.default_rng(0)))

@@ -1,9 +1,10 @@
 """Helpers that only the tests use: a callable-backed missingness entry, a
-simulation cross-check of the exact population oracle, and the peak memory
-of one call."""
+simulation cross-check of the exact population oracle, the peak memory of
+one call, and a power replication that holds its whole test sets."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from dataclasses import dataclass
 from typing import Callable
@@ -11,8 +12,10 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from mnar_dre.model import EPS_PHI, clamp_missing_prob
-from mnar_dre.scenarios import Scenario
+from mnar_dre.experiments import _fit_model, _rep_rng
+from mnar_dre.model import EPS_PHI, Dataset, DataError, NumericError, clamp_missing_prob
+from mnar_dre.np_classify import build_np_classifier, classify
+from mnar_dre.scenarios import Scenario, generate
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,3 +84,41 @@ def traced_peak(call: Callable[[], object]) -> tuple[object, int]:
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def power_rep_materialized(payload) -> dict[str, tuple[float, float, bool]]:
+    """``experiments._power_rep`` as it read before it streamed its test
+    sets: both test sets are drawn whole, after the calibration sample, and
+    every estimator is fitted and then labels them whole, so power and
+    Type I error are label means."""
+    cfg, scenario, n, rep = payload
+    rng = _rep_rng(cfg.seed, rep)
+    draw = generate(scenario, n, rng, cfg.corrupt_class)
+    calib_n = n if cfg.calibration_n is None else cfg.calibration_n
+    calib_values = scenario.class0.sample(calib_n, rng)
+    if cfg.corrupt_class == 0:
+        calib_values = draw.phi0.corrupt(calib_values, rng)
+    calibration = Dataset(calib_values, 0)
+    test1 = scenario.class1.sample(cfg.n_test, rng)
+    test0 = scenario.class0.sample(cfg.n_type1, rng)
+    out = {}
+    for name in cfg.estimators:
+        try:
+            if name == "true-ratio":
+                model = draw.true_log_ratio
+            else:
+                model = _fit_model(name, draw, cfg.queries, rng)
+            clf = build_np_classifier(
+                model,
+                calibration,
+                cfg.alpha,
+                cfg.delta,
+                phi0=draw.phi0,
+                rule=cfg.threshold_rule,
+            )
+            power = float(classify(clf, test1).mean())
+            type1 = float(classify(clf, test0).mean())
+            out[name] = (power, type1, clf.provenance.degenerate)
+        except (NumericError, DataError):
+            out[name] = (math.nan, math.nan, False)
+    return out
