@@ -425,7 +425,9 @@ def solve_target_proportion(column: np.ndarray, target: float) -> LogisticScalar
         raise DataError("cannot calibrate a proportion on an all-missing column")
 
     def realized(a0: float) -> float:
-        return float(LogisticScalar(a0=a0, a1=1.0).prob(column).mean())
+        with warnings.catch_warnings():  # a probe's clamp reaches no weight
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return float(LogisticScalar(a0=a0, a1=1.0).prob(column).mean())
 
     # phi rises with a0; expand until realized(lo) <= target <= realized(hi).
     lo, hi = -1.0, 1.0

@@ -126,6 +126,15 @@ def _check_rule(cfg: PowerConfig, scenario: Scenario) -> None:
         )
 
 
+@dataclass(frozen=True)
+class Replication:
+    """One estimator in one replication: its metric values, or the class
+    name of the error that stopped its fit or calibration."""
+
+    values: dict[str, float]
+    failure: str | None = None
+
+
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
@@ -172,7 +181,7 @@ def _fit_model(
     return kliep.fit(*data, kliep.FeatureMap.identity(draw.latent1.dim), mode)
 
 
-def _msd_rep(payload) -> dict[str, float]:
+def _msd_rep(payload) -> dict[str, Replication]:
     cfg, scenario, n, rep, theta_tilde = payload
     rng = _rep_rng(cfg.seed, rep)
     draw = generate(scenario, n, rng, cfg.corrupt_class)
@@ -180,14 +189,15 @@ def _msd_rep(payload) -> dict[str, float]:
     for name in cfg.estimators:
         try:
             theta = _fit_model(name, draw).theta
-            out[name] = float(np.sum((theta - theta_tilde) ** 2))
-        except (NumericError, DataError):
-            out[name] = math.nan
+        except (NumericError, DataError) as exc:
+            out[name] = Replication({}, type(exc).__name__)
+        else:
+            out[name] = Replication({"msd": float(np.sum((theta - theta_tilde) ** 2))})
     return out
 
 
-def _power_rep(payload) -> dict[str, tuple[float, float, bool]]:
-    """(power, Type I error, degenerate) of each estimator in one replication.
+def _power_rep(payload) -> dict[str, Replication]:
+    """The power, Type I error and degenerate (0 or 1) of each estimator.
 
     The stream of ``rng`` is: the training draw, the calibration sample, the
     ``n_test`` class-1 test points, the ``n_type1`` class-0 test points, and
@@ -198,8 +208,7 @@ def _power_rep(payload) -> dict[str, tuple[float, float, bool]]:
     keeps only their counts of positive labels: power and Type I error are
     count / n.  The other estimators draw nothing, so their classifiers are
     built before the test points.  When an estimator that draws is asked
-    for, the blocks are kept, and it scores them once it is fitted.  An
-    estimator whose fit or calibration fails gives NaNs.
+    for, the blocks are kept, and it scores them once it is fitted.
     """
     cfg, scenario, n, rep = payload
     rng = _rep_rng(cfg.seed, rep)
@@ -209,9 +218,10 @@ def _power_rep(payload) -> dict[str, tuple[float, float, bool]]:
     if cfg.corrupt_class == 0:
         calib_values = draw.phi0.corrupt(calib_values, rng)
     calibration = Dataset(calib_values, 0)
+    failures = {}
 
     def build(names):
-        """The classifier of each name; None for one that failed."""
+        """The classifier of each name, or None and its error in ``failures``."""
         clfs = {}
         for name in names:
             try:
@@ -227,8 +237,8 @@ def _power_rep(payload) -> dict[str, tuple[float, float, bool]]:
                     phi0=draw.phi0,
                     rule=cfg.threshold_rule,
                 )
-            except (NumericError, DataError):
-                clfs[name] = None
+            except (NumericError, DataError) as exc:
+                clfs[name], failures[name] = None, type(exc).__name__
         return clfs
 
     def count_positives(clfs, block, count):
@@ -254,20 +264,22 @@ def _power_rep(payload) -> dict[str, tuple[float, float, bool]]:
     out = {}
     for name in cfg.estimators:
         clf = clfs[name]
-        if clf is None:
-            out[name] = (math.nan, math.nan, False)
-        else:
-            power = counts[0][name] / cfg.n_test
-            type1 = counts[1][name] / cfg.n_type1
-            out[name] = (power, type1, clf.provenance.degenerate)
+        out[name] = Replication({}, failures[name]) if clf is None else Replication({
+            "power": counts[0][name] / cfg.n_test,
+            "type1": counts[1][name] / cfg.n_type1,
+            "degenerate": float(clf.provenance.degenerate),
+        })
     return out
 
 
-def _map_reps(worker, payloads, workers: int):
-    if workers <= 1:
-        return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, payloads))
+def _replicate(worker, payloads, cfg) -> dict[str, list[Replication]]:
+    """Each estimator's records from ``worker`` on every payload, in order."""
+    if cfg.workers <= 1:
+        reps = [worker(p) for p in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            reps = list(pool.map(worker, payloads))
+    return {name: [r[name] for r in reps] for name in cfg.estimators}
 
 
 def _mean_ci_half(values: np.ndarray, level: float) -> tuple[float, float]:
@@ -277,46 +289,47 @@ def _mean_ci_half(values: np.ndarray, level: float) -> tuple[float, float]:
     return m, half
 
 
-def run_msd_replications(cfg: MsdConfig) -> dict[int, dict[str, np.ndarray]]:
+def _aggregate(results, key_name: str, stats) -> list[dict]:
+    """One row per sorted (key, estimator): the key, the estimator, the
+    columns of ``stats(metric)``, where ``metric(name)`` holds that value in
+    each replication that did not fail, and the ``reps`` and ``failed`` counts."""
+    rows = []
+    for key, by_est in sorted(results.items()):
+        for name in sorted(by_est):
+            ok = [r.values for r in by_est[name] if r.failure is None]
+
+            def metric(m):
+                return np.array([v[m] for v in ok], dtype=float)
+
+            rows.append({key_name: key, "estimator": name, **stats(metric),
+                         "reps": len(ok), "failed": len(by_est[name]) - len(ok)})
+    return rows
+
+
+def run_msd_replications(cfg: MsdConfig) -> dict[int, dict[str, list[Replication]]]:
     """Squared distances to the population parameter, per n and estimator."""
     scenario = _make_scenario(cfg.scenario, cfg.rho)
     _check_estimators(scenario, cfg.estimators, THETA_ESTIMATORS)
     theta_tilde = population_theta(scenario)
-    results: dict[int, dict[str, np.ndarray]] = {}
-    for n in cfg.ns:
-        payloads = [(cfg, scenario, n, rep, theta_tilde) for rep in range(cfg.reps)]
-        reps = _map_reps(_msd_rep, payloads, cfg.workers)
-        results[n] = {
-            name: np.array([r[name] for r in reps]) for name in cfg.estimators
-        }
-    return results
+    reps = range(cfg.reps)
+    return {
+        n: _replicate(_msd_rep, [(cfg, scenario, n, r, theta_tilde) for r in reps], cfg)
+        for n in cfg.ns
+    }
 
 
 def run_msd_experiment(cfg: MsdConfig) -> list[dict]:
     """Aggregate distance table: one row per (n, estimator)."""
-    rows = []
-    for n, by_est in sorted(run_msd_replications(cfg).items()):
-        for name in sorted(by_est):
-            sq = by_est[name]
-            good = sq[~np.isnan(sq)]
-            mean, half = _mean_ci_half(good, cfg.ci_level)
-            rows.append(
-                {
-                    "n": n,
-                    "estimator": name,
-                    "msd_mean": mean,
-                    "msd_median": float(np.median(good)),
-                    "ci_half": half,
-                    "reps": int(good.size),
-                    "failed": int(sq.size - good.size),
-                }
-            )
-    return rows
+
+    def stats(metric):
+        sq = metric("msd")
+        mean, half = _mean_ci_half(sq, cfg.ci_level)
+        return {"msd_mean": mean, "msd_median": float(np.median(sq)), "ci_half": half}
+
+    return _aggregate(run_msd_replications(cfg), "n", stats)
 
 
-def run_power_replications(
-    cfg: PowerConfig,
-) -> dict[float, dict[str, dict[str, np.ndarray]]]:
+def run_power_replications(cfg: PowerConfig) -> dict[float, dict[str, list[Replication]]]:
     """Per-replication powers and Type I errors, keyed by n (or rho)."""
     if cfg.rhos is not None:
         runs = [(rho, _make_scenario(cfg.scenario, rho), cfg.ns[0]) for rho in cfg.rhos]
@@ -326,19 +339,11 @@ def run_power_replications(
     for _, scenario, _ in runs:
         _check_estimators(scenario, cfg.estimators, SCORE_ESTIMATORS)
         _check_rule(cfg, scenario)
-    results: dict[float, dict[str, dict[str, np.ndarray]]] = {}
-    for key, scenario, n in runs:
-        payloads = [(cfg, scenario, n, rep) for rep in range(cfg.reps)]
-        reps = _map_reps(_power_rep, payloads, cfg.workers)
-        results[key] = {
-            name: {
-                "power": np.array([r[name][0] for r in reps]),
-                "type1": np.array([r[name][1] for r in reps]),
-                "degenerate": np.array([r[name][2] for r in reps]),
-            }
-            for name in cfg.estimators
-        }
-    return results
+    reps = range(cfg.reps)
+    return {
+        key: _replicate(_power_rep, [(cfg, scenario, n, r) for r in reps], cfg)
+        for key, scenario, n in runs
+    }
 
 
 def run_power_experiment(cfg: PowerConfig) -> list[dict]:
@@ -347,25 +352,17 @@ def run_power_experiment(cfg: PowerConfig) -> list[dict]:
     ``type1_violations`` is the fraction of replications whose measured
     Type I error exceeded alpha.
     """
+
+    def stats(metric):
+        type1 = metric("type1")
+        mean, half = _mean_ci_half(metric("power"), cfg.ci_level)
+        return {
+            "power_mean": mean,
+            "power_ci_half": half,
+            "type1_mean": float(type1.mean()),
+            "type1_violations": float((type1 > cfg.alpha).mean()),
+            "degenerate": int(metric("degenerate").sum()),
+        }
+
     key_name = "rho" if cfg.rhos is not None else "n"
-    rows = []
-    for key, by_est in sorted(run_power_replications(cfg).items()):
-        for name in sorted(by_est):
-            power = by_est[name]["power"]
-            type1 = by_est[name]["type1"]
-            ok = ~np.isnan(power)
-            mean, half = _mean_ci_half(power[ok], cfg.ci_level)
-            rows.append(
-                {
-                    key_name: key,
-                    "estimator": name,
-                    "power_mean": mean,
-                    "power_ci_half": half,
-                    "type1_mean": float(type1[ok].mean()),
-                    "type1_violations": float((type1[ok] > cfg.alpha).mean()),
-                    "degenerate": int(by_est[name]["degenerate"][ok].sum()),
-                    "reps": int(ok.sum()),
-                    "failed": int((~ok).sum()),
-                }
-            )
-    return rows
+    return _aggregate(run_power_replications(cfg), key_name, stats)

@@ -6,6 +6,7 @@ tables, checked against a ``csv.DictWriter`` oracle."""
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -609,3 +610,19 @@ def test_small_target_proportion_is_met_within_one_percent():
     target = 0.002
     phi = dataio.solve_target_proportion(column, target)
     assert abs(phi.prob(column).mean() - target) <= 0.01 * target
+
+
+def test_saturated_probes_of_the_target_search_do_not_warn():
+    # The bracket search probes a0 = -2^k and 2^k, where phi saturates and
+    # is clamped; no weight is built from a probe, so no clamp warning.
+    # pyproject.toml filters that warning, so it is recorded here.
+    column = np.random.default_rng(0).normal(scale=3.0, size=20_000)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        phi = dataio.solve_target_proportion(column, 0.002)
+        assert caught == []
+        assert phi.a0 == -10.1875  # the intercept found while probes warned
+        phi.prob(np.array([30.0]))  # the solved phi still warns where it clamps
+    assert [str(w.message).split(";")[0] for w in caught] == [
+        "missing-probability evaluations were clamped to 0.999"
+    ]

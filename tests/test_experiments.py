@@ -1,8 +1,11 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+from mnar_dre import cli
 from mnar_dre.experiments import (
     SCORE_ESTIMATORS,
     THETA_ESTIMATORS,
@@ -10,16 +13,17 @@ from mnar_dre.experiments import (
     PowerConfig,
     _draws_from_rng,
     _fit_model,
+    _msd_rep,
     _power_rep,
     run_msd_experiment,
     run_msd_replications,
     run_power_experiment,
     run_power_replications,
 )
-from mnar_dre.model import ROW_BLOCK, ConfigError
-from mnar_dre.scenarios import generate, make_scenario
+from mnar_dre.model import ROW_BLOCK, ConfigError, HalfspaceIndicator, MissingnessFunction
+from mnar_dre.scenarios import generate, make_scenario, population_theta
 
-from testkit import power_rep_materialized, traced_peak
+from testkit import power_rep_materialized, rep_metric, traced_peak
 
 
 class TestDeterminism:
@@ -38,6 +42,25 @@ class TestDeterminism:
         base = MsdConfig(scenario="gauss5d", ns=(100,), reps=6, seed=3, workers=1)
         parallel = MsdConfig(scenario="gauss5d", ns=(100,), reps=6, seed=3, workers=2)
         assert run_msd_experiment(base) == run_msd_experiment(parallel)
+
+    def test_worker_count_does_not_change_power_rows(self):
+        # The learned estimator draws its queries after the test sets.
+        cfg = PowerConfig(
+            scenario="mixture2d-logistic", ns=(150, 300), reps=4, seed=9,
+            estimators=("true-ratio", "mkliep", "nb-mkliep-learned"),
+            n_test=2000, n_type1=2000, workers=1,
+        )
+        parallel = dataclasses.replace(cfg, workers=2)
+        assert run_power_experiment(cfg) == run_power_experiment(parallel)
+
+    def test_worker_count_does_not_change_rho_sweep_rows(self):
+        cfg = PowerConfig(
+            scenario="nb-rho", ns=(200,), rhos=(0.0, 0.5, 0.9), reps=4, seed=2,
+            estimators=("true-ratio", "nb-mkliep", "nb-mkliep-learned", "mkliep"),
+            n_test=2000, n_type1=2000, workers=1,
+        )
+        parallel = dataclasses.replace(cfg, workers=2)
+        assert run_power_experiment(cfg) == run_power_experiment(parallel)
 
 
 class TestMsd:
@@ -64,7 +87,7 @@ class TestMsd:
             estimators=("mkliep", "kliep-oracle"),
         )
         res = run_msd_replications(cfg)[500]
-        diff = res["mkliep"] - res["kliep-oracle"]
+        diff = rep_metric(res["mkliep"], "msd") - rep_metric(res["kliep-oracle"], "msd")
         se = diff.std(ddof=1) / np.sqrt(diff.size)
         assert diff.mean() > -2 * se  # more information never hurts on average
 
@@ -79,9 +102,9 @@ class TestPower:
             estimators=("true-ratio",), alpha=0.5, delta=0.4,
             threshold_rule="missing", n_test=5000, n_type1=100,
         )
-        res = run_power_replications(cfg)[200]
-        assert np.all(res["true-ratio"]["power"] > 0.0)
-        assert not res["true-ratio"]["degenerate"].any()
+        res = run_power_replications(cfg)[200]["true-ratio"]
+        assert np.all(rep_metric(res, "power") > 0.0)
+        assert not rep_metric(res, "degenerate").any()
 
     def test_mixture2d_oracle_boundary_sanity(self):
         # single replication, figure-level check: the oracle classifier at
@@ -91,7 +114,7 @@ class TestPower:
             estimators=("true-ratio",), n_test=100_000, n_type1=100,
         )
         res = run_power_replications(cfg)[500]
-        assert res["true-ratio"]["power"][0] >= 0.25
+        assert rep_metric(res["true-ratio"], "power")[0] >= 0.25
 
     def test_degenerate_threshold_reported(self):
         # missing rule at alpha = delta = 0.1 with n0 = 200: margin > alpha,
@@ -101,9 +124,9 @@ class TestPower:
             estimators=("true-ratio",), alpha=0.1, delta=0.1,
             threshold_rule="missing", n_test=1000, n_type1=100,
         )
-        res = run_power_replications(cfg)[200]
-        assert res["true-ratio"]["degenerate"].all()
-        assert np.all(res["true-ratio"]["power"] == 0.0)
+        res = run_power_replications(cfg)[200]["true-ratio"]
+        assert rep_metric(res, "degenerate").all()
+        assert np.all(rep_metric(res, "power") == 0.0)
 
     def test_sign_of_mkliep_cc_gap_stable_across_seed_blocks(self):
         for block in range(5):
@@ -112,8 +135,8 @@ class TestPower:
                 estimators=("mkliep", "cckliep"), n_test=20_000, n_type1=100,
             )
             res = run_power_replications(cfg)[1500]
-            gap = res["mkliep"]["power"].mean() - res["cckliep"]["power"].mean()
-            assert gap > 0.0
+            power = {name: rep_metric(reps, "power").mean() for name, reps in res.items()}
+            assert power["mkliep"] - power["cckliep"] > 0.0
 
     def test_rho_sweep_keys(self):
         cfg = PowerConfig(
@@ -270,6 +293,12 @@ def test_binomial_rule_takes_delta_above_half():
     assert rows[0]["failed"] == 0
 
 
+def _record_bits(record):
+    """A record's failure, its metric names and the bytes of its values."""
+    values = record.values
+    return record.failure, list(values), np.array(list(values.values())).tobytes()
+
+
 class TestStreamedPowerReplication:
     """``_power_rep`` draws and scores its test sets a row block at a time;
     ``testkit.power_rep_materialized`` holds them whole, as it did before."""
@@ -299,9 +328,9 @@ class TestStreamedPowerReplication:
             want = power_rep_materialized((cfg, sc, 600, rep))
             assert list(got) == list(want)
             for name in want:
-                assert np.array(got[name][:2]).tobytes() == np.array(want[name][:2]).tobytes()
-                assert got[name][2] is want[name][2]
-                assert 0.0 < got[name][0] < 1.0 and not got[name][2], name
+                assert _record_bits(got[name]) == _record_bits(want[name]), name
+                values = got[name].values
+                assert 0.0 < values["power"] < 1.0 and not values["degenerate"], name
 
     def test_every_estimator_whose_fit_draws_is_flagged(self):
         # _power_rep fits the flagged estimators after its test sets, so one
@@ -332,3 +361,134 @@ class TestStreamedPowerReplication:
         peak(1000)  # leaves the one-time allocations of the first call untraced
         assert peak(100_000) <= 1_500_000
         assert peak(200_000) - peak(50_000) <= 150_000 + 256 * 1024
+
+
+class TestFailedReplications:
+    """Tables with failed replications, pinned to the bytes written before
+    each replication returned a ``Replication`` record."""
+
+    MSD_ARGS = ["msd", "--scenario", "gauss5d", "--n", "2,3", "--reps", "20", "--seed", "1"]
+    MSD_TABLE = (
+        b"# command=experiment-msd config_hash=df5cc94e2d8e scenario=gauss5d seed=1"
+        b" version=0.1.0\n"
+        b"n,estimator,msd_mean,msd_median,ci_half,reps,failed\r\n"
+        b"2,cckliep,4.0491296567444195e+30,0.23304199601698464,"
+        b"1.0429866823711175e+31,19,1\r\n"
+        b"2,mkliep,4.0516639128214186e+30,0.1463752974869942,"
+        b"1.042950620410908e+31,19,1\r\n"
+        b"3,cckliep,1.566812528846402e+23,169528.46140984556,"
+        b"4.0348048065512643e+23,19,1\r\n"
+        b"3,mkliep,5.2514096403760126e+135,131020.30724582236,"
+        b"1.3526734836619725e+136,19,1\r\n"
+    )
+    POWER_ESTIMATORS = "true-ratio,mkliep,cckliep,nb-mkliep,nb-cckliep,nb-mkliep-learned"
+    POWER_ARGS = [
+        "power", "--scenario", "mixture2d-logistic", "--n", "4,6", "--reps", "10",
+        "--seed", "1", "--n-test", "500", "--n-type1", "500",
+        "--estimators", POWER_ESTIMATORS,
+    ]
+    POWER_TABLE = (
+        b"# command=experiment-power config_hash=854aa82dcd26"
+        b" scenario=mixture2d-logistic seed=1 version=0.1.0\n"
+        b"n,estimator,power_mean,power_ci_half,type1_mean,type1_violations,"
+        b"degenerate,reps,failed\r\n"
+        b"4,cckliep,0.0,0.0,0.0,0.0,8,8,2\r\n"
+        b"4,mkliep,0.0,0.0,0.0,0.0,8,8,2\r\n"
+        b"4,nb-cckliep,0.0,0.0,0.0,0.0,9,9,1\r\n"
+        b"4,nb-mkliep,0.0,0.0,0.0,0.0,9,9,1\r\n"
+        b"4,nb-mkliep-learned,nan,inf,nan,nan,0,0,10\r\n"
+        b"4,true-ratio,0.0,0.0,0.0,0.0,10,10,0\r\n"
+        b"6,cckliep,0.0,0.0,0.0,0.0,7,7,3\r\n"
+        b"6,mkliep,0.0,0.0,0.0,0.0,7,7,3\r\n"
+        b"6,nb-cckliep,0.0,0.0,0.0,0.0,10,10,0\r\n"
+        b"6,nb-mkliep,0.0,0.0,0.0,0.0,10,10,0\r\n"
+        b"6,nb-mkliep-learned,nan,inf,nan,nan,0,0,10\r\n"
+        b"6,true-ratio,0.0,0.0,0.0,0.0,10,10,0\r\n"
+    )
+
+    # An all-failed row averages empty arrays, which numpy warns about.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("kind", ["MSD", "POWER"])
+    def test_table_bytes(self, kind, workers, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        args = getattr(self, kind + "_ARGS")
+        assert cli.main(["experiment", *args, "--workers", workers, "--out", str(out)]) == 0
+        assert out.read_bytes() == getattr(self, kind + "_TABLE")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_names(self):
+        msd = run_msd_replications(MsdConfig(scenario="gauss5d", ns=(2,), reps=20, seed=1))
+        for name in ("mkliep", "cckliep"):
+            assert [r.failure for r in msd[2][name] if r.failure] == ["NumericError"]
+        cfg = PowerConfig(
+            scenario="mixture2d-logistic", ns=(4,), reps=10, seed=1, n_test=500,
+            n_type1=500, estimators=tuple(self.POWER_ESTIMATORS.split(",")),
+        )
+        learned = run_power_replications(cfg)[4]["nb-mkliep-learned"]
+        assert [r.failure for r in learned] == ["DataError"] * 10
+        assert all(r.values == {} for r in learned)
+
+
+class TestMinimaxInMissingness:
+    """M-KLIEP's MSD against the worst-case missingness p = sup phi of the
+    gauss5d halfspace, at n = 2000 with 60 replications.  The paper's upper
+    bound scales as 1/(n(1 - p)) and its lower bound matches it.
+
+    Bands, fixed before the first run: every comparison allows z times the
+    standard error of the difference, z = 4.89 (two-sided level 1e-6), with
+    the replications of different p taken as independent.  Every p reuses
+    the same replication streams, so the estimates are positively
+    correlated and that standard error is an upper bound.
+    - Upper bound: (1 - p) MSD(p) is at most (1 - 0.5) MSD(0.5).
+    - Growth like 1/(1 - p): MSD(0.98) exceeds MSD(0.5), and MSD(p) at
+      p = 0.75, 0.9 and 0.95 matches the line through those two points in
+      x = 1/(1 - p).
+    - kliep-oracle, which never sees the missingness, equals its MSD(0.5).
+    - cckliep's MSD rises from each p to the next.
+    """
+
+    PS = (0.5, 0.75, 0.9, 0.95, 0.98)
+    Z = ndtri(1 - 1e-6 / 2)
+
+    def _mean_se(self):
+        cfg = MsdConfig(scenario="gauss5d", ns=(2000,), reps=60, seed=11,
+                        estimators=THETA_ESTIMATORS)
+        base = make_scenario("gauss5d")
+        theta_tilde = population_theta(base)
+        stats = {}
+        for p in self.PS:
+            sc = dataclasses.replace(base, induced_phi=MissingnessFunction.whole_point(
+                HalfspaceIndicator(direction=np.ones(5), level=0.0, p=p)))
+            reps = [_msd_rep((cfg, sc, 2000, rep, theta_tilde)) for rep in range(cfg.reps)]
+            for name in cfg.estimators:
+                msd = rep_metric([r[name] for r in reps], "msd")
+                assert not np.isnan(msd).any(), (p, name)
+                stats[name, p] = (msd.mean(), msd.std(ddof=1) / np.sqrt(msd.size))
+        return stats
+
+    def test_msd_scales_as_one_over_one_minus_p(self):
+        stats = self._mean_se()
+        z, p0, p1 = self.Z, self.PS[0], self.PS[-1]
+
+        def within(diff, *scaled_ses):
+            return diff <= z * np.sqrt(sum(s * s for s in scaled_ses))
+
+        (m0, s0), (m1, s1) = stats["mkliep", p0], stats["mkliep", p1]
+        for p in self.PS:
+            m, s = stats["mkliep", p]
+            assert within((1 - p) * m - (1 - p0) * m0, (1 - p) * s, (1 - p0) * s0), p
+        assert not within(m1 - m0, s0, s1)  # MSD(0.98) > MSD(0.5) beyond noise
+        x0, x1 = 1 / (1 - p0), 1 / (1 - p1)
+        for p in self.PS[1:-1]:
+            t = (1 / (1 - p) - x0) / (x1 - x0)
+            m, s = stats["mkliep", p]
+            line = (1 - t) * m0 + t * m1
+            assert within(abs(m - line), s, (1 - t) * s0, t * s1), p
+        oracle0, oracle_se0 = stats["kliep-oracle", p0]
+        for p in self.PS:
+            m, s = stats["kliep-oracle", p]
+            assert within(abs(m - oracle0), s, oracle_se0), p
+        for lo, hi in zip(self.PS, self.PS[1:]):
+            (m_lo, s_lo), (m_hi, s_hi) = stats["cckliep", lo], stats["cckliep", hi]
+            assert not within(m_hi - m_lo, s_lo, s_hi), (lo, hi)

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: a callable-backed missingness entry, a
 simulation cross-check of the exact population oracle, the peak memory of
-one call, and a power replication that holds its whole test sets."""
+one call, one metric over replication records, and a power replication that
+holds its whole test sets."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from mnar_dre.experiments import _fit_model, _rep_rng
+from mnar_dre.experiments import Replication, _fit_model, _rep_rng
 from mnar_dre.model import EPS_PHI, Dataset, DataError, NumericError, clamp_missing_prob
 from mnar_dre.np_classify import build_np_classifier, classify
 from mnar_dre.scenarios import Scenario, generate
@@ -86,7 +87,12 @@ def traced_peak(call: Callable[[], object]) -> tuple[object, int]:
         tracemalloc.stop()
 
 
-def power_rep_materialized(payload) -> dict[str, tuple[float, float, bool]]:
+def rep_metric(reps: list[Replication], name: str) -> np.ndarray:
+    """Metric ``name`` of every replication record, NaN for a failed one."""
+    return np.array([r.values[name] if r.failure is None else math.nan for r in reps])
+
+
+def power_rep_materialized(payload) -> dict[str, Replication]:
     """``experiments._power_rep`` as it read before it streamed its test
     sets: both test sets are drawn whole, after the calibration sample, and
     every estimator is fitted and then labels them whole, so power and
@@ -116,9 +122,11 @@ def power_rep_materialized(payload) -> dict[str, tuple[float, float, bool]]:
                 phi0=draw.phi0,
                 rule=cfg.threshold_rule,
             )
-            power = float(classify(clf, test1).mean())
-            type1 = float(classify(clf, test0).mean())
-            out[name] = (power, type1, clf.provenance.degenerate)
-        except (NumericError, DataError):
-            out[name] = (math.nan, math.nan, False)
+            out[name] = Replication({
+                "power": float(classify(clf, test1).mean()),
+                "type1": float(classify(clf, test0).mean()),
+                "degenerate": float(clf.provenance.degenerate),
+            })
+        except (NumericError, DataError) as exc:
+            out[name] = Replication({}, type(exc).__name__)
     return out
