@@ -14,8 +14,12 @@ Commands::
 
 Every command is a pure function of its inputs, flags, and seed; reruns are
 byte-identical.  Flags override values from an optional ``--config`` file of
-``key = value`` lines.  Exit codes: 0 success, 2 usage error (a bad flag or
-``ConfigError``), 3 data error (``DataError``), 4 numeric failure
+``key = value`` lines.  A command takes only the flags it reads: only the
+commands that read a dataset CSV take ``--missing-token`` and
+``--label-column``, and an experiment kind, after which its flags come,
+takes those of its config (``MsdConfig``, or ``PowerConfig`` for power and
+rho-sweep).  Exit codes: 0 success, 2 usage error (a bad or unknown flag or
+key, or ``ConfigError``), 3 data error (``DataError``), 4 numeric failure
 (``NumericError``); all three error types live in ``model``.
 
 ``np-calibrate`` reads its class-0 calibration sample from its own
@@ -58,14 +62,15 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     """Fill unset flags from the optional config file; flags win.
 
     A key is a flag of the command without its leading dashes (``n-test`` for
-    ``--n-test``).  Its value goes through the flag's own ``type`` and
-    ``choices``, and a ``store_true`` flag takes ``true`` or ``false``.
+    ``--n-test``); a key the command has no flag for is refused.  Its value
+    goes through the flag's own ``type`` and ``choices``, and a
+    ``store_true`` flag takes ``true`` or ``false``.
     """
     if not args.config:
         return
     file_cfg = dataio.read_config_file(args.config)
     flags = {
-        action.dest.replace("_", "-"): action
+        action.option_strings[0].lstrip("-"): action
         for action in parser._actions
         if action.option_strings and action.dest not in ("help", "config")
     }
@@ -97,9 +102,11 @@ def _config_value(action: argparse.Action, raw: str):
 
 
 def _require(args, *names) -> None:
+    """Refuse each flag, named by its dest, that neither argv nor config set."""
+    flags = {a.dest: a.option_strings[0] for a in args.command_parser._actions}
     for name in names:
-        if getattr(args, name, None) is None:
-            raise ConfigError(f"--{name.replace('_', '-')} is required")
+        if getattr(args, name) is None:
+            raise ConfigError(f"{flags[name]} is required")
 
 
 def _feature_map(kind: str | None, dim: int) -> FeatureMap:
@@ -139,22 +146,21 @@ def _check_model_dim(model, data) -> None:
         )
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma list of integers, got {text!r}"
-        ) from None
+def _comma_list(convert, what: str):
+    """The flag type of a comma list of ``convert`` values (``what``)."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(t) for t in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of {what}, got {text!r}"
+            ) from None
+
+    return parse
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(t) for t in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma list of numbers, got {text!r}"
-        ) from None
+_int_list, _float_list = _comma_list(int, "integers"), _comma_list(float, "numbers")
 
 
 def _number(text: str) -> float:
@@ -353,35 +359,16 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    _require(args, "scenario", "out", "n")
-    # Unset flags take the defaults of the experiment config dataclasses.
-    keys = ["reps", "seed", "corrupt_class", "workers"]
-    if args.kind != "msd":
-        keys += ["alpha", "delta", "n_test", "n_type1", "calibration_n", "queries"]
-    given = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
-    if args.estimators:
-        given["estimators"] = tuple(args.estimators.split(","))
-    rhos = args.rho or ()
+    _require(args, "scenario", "ns", "out")
     if args.kind == "rho-sweep":
-        if not rhos:
-            raise ConfigError("rho-sweep needs --rho with a comma-separated list")
-        rho = 0.0
-    else:
-        if len(rhos) > 1:
-            raise ConfigError(f"experiment {args.kind} takes one --rho value")
-        rho, rhos = (rhos[0] if rhos else 0.0), None
-    if args.kind == "msd":
-        cfg = experiments.MsdConfig(
-            scenario=args.scenario, ns=args.n, rho=rho, **given
-        )
-        run = experiments.run_msd_experiment
-    else:
-        if args.rule:
-            given["threshold_rule"] = args.rule
-        cfg = experiments.PowerConfig(
-            scenario=args.scenario, ns=args.n, rhos=rhos, rho=rho, **given
-        )
-        run = experiments.run_power_experiment
+        _require(args, "rhos")
+    config_class, run, _ = EXPERIMENT_KINDS[args.kind]
+    # Each flag sets the config field named by its dest; unset ones keep defaults.
+    cfg = config_class(**{
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(config_class)
+        if getattr(args, field.name, None) is not None
+    })
     rows = run(cfg)
     # The worker count does not change results, so it stays out of the hash.
     settings = dataclasses.asdict(cfg)
@@ -438,6 +425,36 @@ def _cmd_emit_plot_data(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+# The flag of each experiment config field, with its add_argument options.
+_EXPERIMENT_FLAGS = {
+    "scenario": ("--scenario", {}),
+    "ns": ("--n", {"type": _int_list, "metavar": "N",
+                   "help": "comma list of per-class sample sizes"}),
+    "rho": ("--rho", {"type": _number, "help": "scenario parameter"}),
+    "rhos": ("--rho", {"type": _float_list, "help": "comma list of rho values"}),
+    "reps": ("--reps", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+    "estimators": ("--estimators", {"type": _comma_list(str, "names")}),
+    "alpha": ("--alpha", {"type": _open_unit}),
+    "delta": ("--delta", {"type": _open_unit}),
+    "n_test": ("--n-test", {"type": int}),
+    "n_type1": ("--n-type1", {"type": int}),
+    "calibration_n": ("--calibration-n", {"type": int}),
+    "threshold_rule": ("--rule", {"choices": ["auto", "binomial", "missing"]}),
+    "corrupt_class": ("--corrupt-class", {"type": int, "choices": [0, 1]}),
+    "queries": ("--queries", {"type": int}),
+    "workers": ("--workers", {"type": int}),
+}
+
+# Each experiment kind: its config class, the function that runs it, and the
+# field of that class it takes no flag for (nor for one without a flag above,
+# ci_level).  rho-sweep sweeps ``rhos`` at one n; power and msd take one rho.
+EXPERIMENT_KINDS = {
+    "msd": (experiments.MsdConfig, experiments.run_msd_experiment, None),
+    "power": (experiments.PowerConfig, experiments.run_power_experiment, "rhos"),
+    "rho-sweep": (experiments.PowerConfig, experiments.run_power_experiment, "rho"),
+}
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -451,11 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, func):
+    def common(p, func, csv=True):
         p.set_defaults(func=func, command_parser=p)
         p.add_argument("--config", help="key = value config file; flags override")
-        p.add_argument("--missing-token", dest="missing_token")
-        p.add_argument("--label-column", dest="label_column")
+        if csv:
+            p.add_argument("--missing-token", dest="missing_token")
+            p.add_argument("--label-column", dest="label_column")
 
     p = sub.add_parser("fit", help="fit a density ratio model")
     common(p, _cmd_fit)
@@ -521,28 +539,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="column:lo:hi ('none' to skip a side)")
 
     p = sub.add_parser("experiment", help="run a replication study")
-    common(p, _cmd_experiment)
-    p.add_argument("kind", choices=["msd", "power", "rho-sweep"])
-    p.add_argument("--scenario")
-    p.add_argument("--n", type=_int_list, help="comma list of per-class sample sizes")
-    p.add_argument("--rho", type=_float_list,
-                   help="scenario parameter (comma list for rho-sweep)")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--estimators", help="comma list")
-    p.add_argument("--alpha", type=_open_unit)
-    p.add_argument("--delta", type=_open_unit)
-    p.add_argument("--n-test", dest="n_test", type=int)
-    p.add_argument("--n-type1", dest="n_type1", type=int)
-    p.add_argument("--calibration-n", dest="calibration_n", type=int)
-    p.add_argument("--rule", choices=["auto", "binomial", "missing"])
-    p.add_argument("--corrupt-class", dest="corrupt_class", type=int, choices=[0, 1])
-    p.add_argument("--queries", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, (config_class, _, unset) in EXPERIMENT_KINDS.items():
+        k = kinds.add_parser(kind)
+        common(k, _cmd_experiment, csv=False)
+        for field in dataclasses.fields(config_class):
+            if field.name != unset and field.name in _EXPERIMENT_FLAGS:
+                flag, options = _EXPERIMENT_FLAGS[field.name]
+                k.add_argument(flag, dest=field.name, **options)
+        k.add_argument("--out")
 
     p = sub.add_parser("emit-plot-data", help="tidy a table for plotting")
-    common(p, _cmd_emit_plot_data)
+    common(p, _cmd_emit_plot_data, csv=False)
     p.add_argument("--table")
     p.add_argument("--out")
 

@@ -58,7 +58,7 @@ class PowerConfig:
 
     scenario: str
     ns: tuple[int, ...] = (500,)
-    rhos: tuple[float, ...] | None = None  # sweep key when set (n fixed to ns[0])
+    rhos: tuple[float, ...] | None = None  # sweep key when set (ns then holds one n)
     rho: float = 0.0  # scenario parameter for fixed-scenario n sweeps
     reps: int = 100
     seed: int = 0
@@ -79,6 +79,8 @@ class PowerConfig:
             self,
             ("ns", "reps", "n_test", "n_type1", "calibration_n", "queries", "workers"),
         )
+        if self.rhos is not None and len(self.ns) > 1:
+            raise ConfigError("experiment rho-sweep takes one --n value")
 
 
 def _check_counts(cfg, fields: tuple[str, ...]) -> None:
@@ -282,9 +284,14 @@ def _replicate(worker, payloads, cfg) -> dict[str, list[Replication]]:
     return {name: [r[name] for r in reps] for name in cfg.estimators}
 
 
+def _or_nan(stat, values: np.ndarray) -> float:
+    """``stat(values)``, or NaN for no values, where numpy would warn."""
+    return float(stat(values)) if values.size else math.nan
+
+
 def _mean_ci_half(values: np.ndarray, level: float) -> tuple[float, float]:
     z = ndtri(0.5 + level / 2.0)  # the normal quantile, as norm.ppf computes it
-    m = float(values.mean())
+    m = _or_nan(np.mean, values)
     half = float(z * values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else math.inf
     return m, half
 
@@ -324,7 +331,7 @@ def run_msd_experiment(cfg: MsdConfig) -> list[dict]:
     def stats(metric):
         sq = metric("msd")
         mean, half = _mean_ci_half(sq, cfg.ci_level)
-        return {"msd_mean": mean, "msd_median": float(np.median(sq)), "ci_half": half}
+        return {"msd_mean": mean, "msd_median": _or_nan(np.median, sq), "ci_half": half}
 
     return _aggregate(run_msd_replications(cfg), "n", stats)
 
@@ -359,8 +366,8 @@ def run_power_experiment(cfg: PowerConfig) -> list[dict]:
         return {
             "power_mean": mean,
             "power_ci_half": half,
-            "type1_mean": float(type1.mean()),
-            "type1_violations": float((type1 > cfg.alpha).mean()),
+            "type1_mean": _or_nan(np.mean, type1),
+            "type1_violations": _or_nan(np.mean, type1 > cfg.alpha),
             "degenerate": int(metric("degenerate").sum()),
         }
 

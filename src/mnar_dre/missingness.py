@@ -31,12 +31,10 @@ def _check_budget(m_q: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class QuerySubsample:
-    """Indices with known true values, their values, and missing labels."""
+    """Entries with known true values, their missing labels, and the counts."""
 
-    indices: np.ndarray
     values: np.ndarray
     labels: np.ndarray  # 1 where the entry had been missing
-    n_total: int
     n_missing: int
     n_queried: int
 
@@ -45,12 +43,8 @@ class QuerySubsample:
 class AdjustedLogisticFit:
     """Logistic fit on the query subsample with the corrected intercept."""
 
-    intercept_raw: float
     slope: float
     intercept_corrected: float
-    n_total: int
-    n_missing: int
-    n_queried: int
     separated: bool = False
 
     def missingness_entry(self) -> LogisticScalar:
@@ -67,8 +61,9 @@ def simulate_query(
     """Query the latent values of ``m_q`` missing entries, chosen uniformly
     without replacement.
 
-    The subsample is all observed indices plus the queried missing ones, each
-    labelled by whether it had been missing.  Deterministic per seed.
+    The subsample is every observed entry, then the queried missing ones in
+    index order, each labelled by whether it had been missing.  Deterministic
+    per seed.
     """
     _check_budget(m_q)
     if isinstance(rng, (int, np.integer)):
@@ -83,21 +78,14 @@ def simulate_query(
         raise DataError(
             f"query budget {m_q} exceeds the {n_missing} missing entries"
         )
-    observed_idx = np.flatnonzero(~missing)
+    observed = column[~missing]
     queried_idx = rng.choice(np.flatnonzero(missing), size=m_q, replace=False)
-    queried_idx = np.sort(queried_idx)
-    indices = np.concatenate([observed_idx, queried_idx])
-    values = np.concatenate([column[observed_idx], latent[queried_idx]])
+    values = np.concatenate([observed, latent[np.sort(queried_idx)]])
     labels = np.concatenate(
-        [np.zeros(observed_idx.size, dtype=int), np.ones(queried_idx.size, dtype=int)]
+        [np.zeros(observed.size, dtype=int), np.ones(m_q, dtype=int)]
     )
     return QuerySubsample(
-        indices=indices,
-        values=values,
-        labels=labels,
-        n_total=column.size,
-        n_missing=n_missing,
-        n_queried=m_q,
+        values=values, labels=labels, n_missing=n_missing, n_queried=m_q
     )
 
 
@@ -155,12 +143,8 @@ def fit_adjusted_logistic(subsample: QuerySubsample) -> AdjustedLogisticFit:
         beta = np.clip(beta, -_COEF_CAP, _COEF_CAP)
     correction = np.log(subsample.n_queried / subsample.n_missing)
     return AdjustedLogisticFit(
-        intercept_raw=float(beta[0]),
         slope=float(beta[1]),
         intercept_corrected=float(beta[0] - correction),
-        n_total=subsample.n_total,
-        n_missing=subsample.n_missing,
-        n_queried=subsample.n_queried,
         separated=separated,
     )
 

@@ -379,6 +379,8 @@ class TestEveryCommand:
             ("np-calibrate", ["--data", "f.csv"]),
             ("np-calibrate", ["--seed", "1"]),
             ("preprocess", ["--apply-transform", "t"]),
+            ("emit-plot-data", ["--missing-token", "Q"]),
+            ("emit-plot-data", ["--label-column", "y"]),
         ],
     )
     def test_deleted_flag_exits_2(self, files, command_inputs, command, extra, capsys):
@@ -390,7 +392,8 @@ class TestEveryCommand:
     @pytest.mark.parametrize(
         "command, key",
         [("np-calibrate", "split"), ("np-calibrate", "seed"), ("np-calibrate", "data"),
-         ("preprocess", "apply-transform")],
+         ("preprocess", "apply-transform"), ("emit-plot-data", "missing-token"),
+         ("emit-plot-data", "label-column")],
     )
     def test_deleted_config_key_exits_2(self, files, command_inputs, command, key, capsys):
         cfg = files["dir"] / f"deleted-{key}.cfg"
@@ -399,6 +402,46 @@ class TestEveryCommand:
         assert cli.main(argv) == 2
         assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
         assert not self._out(files, command).exists()
+
+
+# A valid value for each flag that some experiment kind refuses.
+REFUSED_VALUES = {"--alpha": "0.3", "--delta": "0.1", "--n-test": "5", "--n-type1": "5",
+                  "--calibration-n": "5", "--rule": "binomial", "--queries": "7",
+                  "--missing-token": "ZZZ", "--label-column": "y"}
+# msd fits no classifier, so it takes no level, rule, test-set or query flag;
+# no experiment reads a dataset CSV.
+REFUSED = [("msd", flag) for flag in REFUSED_VALUES] + [
+    (kind, flag) for kind in ("power", "rho-sweep")
+    for flag in ("--missing-token", "--label-column")
+]
+
+
+class TestExperimentKindFlags:
+    """Each experiment kind refuses the flags, and config keys, of fields its
+    config does not have."""
+
+    @staticmethod
+    def _argv(files, kind):
+        out = files["dir"] / "refused-table.csv"
+        return ["experiment", kind, "--scenario", "nb-rho", "--rho", "0.3", "--n", "50",
+                "--reps", "1", "--out", str(out)], out
+
+    @pytest.mark.parametrize("kind, flag", REFUSED)
+    def test_flag_exits_2(self, files, kind, flag, capsys):
+        argv, out = self._argv(files, kind)
+        assert cli.main([*argv, flag, REFUSED_VALUES[flag]]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, flag", REFUSED)
+    def test_config_key_exits_2(self, files, kind, flag, capsys):
+        key = flag.lstrip("-")
+        cfg = files["dir"] / f"refused-{kind}-{key}.cfg"
+        cfg.write_text(f"{key} = {REFUSED_VALUES[flag]}\n")
+        argv, out = self._argv(files, kind)
+        assert cli.main([*argv, "--config", str(cfg)]) == 2
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExperimentConfig:
@@ -429,11 +472,15 @@ class TestExperimentConfig:
             (("rho-sweep", "--scenario", "nb-rho", "--rho", "0.2,1.5"), "correlation"),
             (("power", "--scenario", "mixture2d", "--rule", "binomial",
               "--corrupt-class", "0"), "--rule binomial"),
+            (("rho-sweep", "--scenario", "nb-rho", "--rho", "0.2", "--n", "50,60"),
+             "experiment rho-sweep takes one --n value"),
         ],
     )
     def test_other_unrunnable_configs_exit_2(self, files, argv, named, capsys):
         out = files["dir"] / "unused-table.csv"
-        rc = cli.main(["experiment", *argv, "--n", "50", "--reps", "1", "--out", str(out)])
+        kind, *rest = argv
+        rc = cli.main(["experiment", kind, "--n", "50", "--reps", "1", *rest,
+                       "--out", str(out)])
         assert rc == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
@@ -483,6 +530,8 @@ class TestFlagValues:
             (("corrupt", "--target-proportion", "-0.2"), "--target-proportion"),
             (("corrupt", "--target-proportion", "nan"), "--target-proportion"),
             (("corrupt", "--target-proportion", "0.999"), "--target-proportion"),
+            (("experiment", "power", "--scenario", "nb-rho", "--n", "50",
+              "--rho", "0.1,0.2"), "--rho"),
         ],
     )
     def test_bad_flag_value_exits_2(self, files, argv, flag, capsys):

@@ -5,11 +5,13 @@ from scipy.special import expit
 
 from mnar_dre.missingness import (
     QuerySubsample,
+    _logistic_nll,
     fit_adjusted_logistic,
     learn_missingness,
     simulate_query,
 )
 from mnar_dre.model import DataError, Dataset, EPS_PHI, LogisticScalar, Zero
+from mnar_dre.optimize import newton
 
 
 def _logistic_oracle(z, y):
@@ -27,12 +29,18 @@ def _logistic_oracle(z, y):
 
 
 def _subsample(values, labels):
+    """Every missing entry queried, so the intercept correction is log 1 = 0."""
     labels = np.asarray(labels, dtype=int)
     n_missing = int(labels.sum())
     return QuerySubsample(
-        indices=np.arange(labels.size), values=np.asarray(values, dtype=float),
-        labels=labels, n_total=labels.size, n_missing=n_missing, n_queried=n_missing,
+        values=np.asarray(values, dtype=float), labels=labels,
+        n_missing=n_missing, n_queried=n_missing,
     )
+
+
+def _correction(sub):
+    """The intercept correction log(m / n_missing) of a subsample."""
+    return np.log(sub.n_queried / sub.n_missing)
 
 
 def _column_with_missing(rng, n=2000, b0=0.5, b1=1.0):
@@ -47,7 +55,7 @@ class TestSimulateQuery:
         x = np.array([1.0, np.nan, 2.0, np.nan])
         z = np.array([1.0, -5.0, 2.0, -6.0])
         sub = simulate_query(x, z, 0, 0)
-        assert list(sub.indices) == [0, 2]
+        assert list(sub.values) == [1.0, 2.0]
         assert list(sub.labels) == [0, 0]
         assert sub.n_missing == 2 and sub.n_queried == 0
 
@@ -55,18 +63,18 @@ class TestSimulateQuery:
         x = np.array([1.0, np.nan, 2.0, np.nan])
         z = np.array([1.0, -5.0, 2.0, -6.0])
         sub = simulate_query(x, z, 2, 0)
-        assert sorted(sub.indices.tolist()) == [0, 1, 2, 3]
-        by_index = dict(zip(sub.indices.tolist(), sub.labels.tolist()))
-        assert [by_index[i] for i in range(4)] == [0, 1, 0, 1]
-        vals = dict(zip(sub.indices.tolist(), sub.values.tolist()))
-        assert vals[1] == -5.0 and vals[3] == -6.0
+        # The observed entries, then the queried ones in index order.
+        assert list(sub.values) == [1.0, 2.0, -5.0, -6.0]
+        assert list(sub.labels) == [0, 0, 1, 1]
+        assert sub.n_missing == 2 and sub.n_queried == 2
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(1)
         x, z = _column_with_missing(rng)
         a = simulate_query(x, z, 50, 123)
         b = simulate_query(x, z, 50, 123)
-        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.labels, b.labels)
 
     def test_budget_exceeding_missing_count_errors(self):
         x = np.array([1.0, np.nan])
@@ -87,9 +95,10 @@ class TestAdjustedLogistic:
         x, z = _column_with_missing(rng)
         sub = simulate_query(x, z, 100, 7)
         fit = fit_adjusted_logistic(sub)
-        assert fit.intercept_corrected == fit.intercept_raw - np.log(
-            fit.n_queried / fit.n_missing
-        )
+        raw = newton(_logistic_nll(sub.values, sub.labels.astype(float)), np.zeros(2))
+        assert sub.n_queried == 100 and sub.n_missing == int(np.isnan(x).sum())
+        assert fit.intercept_corrected == raw.theta[0] - _correction(sub)
+        assert fit.slope == raw.theta[1]
 
     def test_full_query_equals_plain_logistic(self):
         # querying every missing value makes the correction log(1) = 0 and the
@@ -99,9 +108,9 @@ class TestAdjustedLogistic:
         n_missing = int(np.isnan(x).sum())
         sub = simulate_query(x, z, n_missing, 11)
         fit = fit_adjusted_logistic(sub)
-        assert fit.intercept_corrected == fit.intercept_raw
+        assert _correction(sub) == 0.0
         beta_full = _logistic_oracle(z, np.isnan(x).astype(float))
-        assert fit.intercept_raw == pytest.approx(beta_full[0], abs=1e-6)
+        assert fit.intercept_corrected == pytest.approx(beta_full[0], abs=1e-6)
         assert fit.slope == pytest.approx(beta_full[1], abs=1e-6)
 
     def test_slope_never_altered_by_correction(self):
@@ -111,7 +120,9 @@ class TestAdjustedLogistic:
         fit = fit_adjusted_logistic(sub)
         beta_raw = _logistic_oracle(sub.values, sub.labels.astype(float))
         assert fit.slope == pytest.approx(beta_raw[1], abs=1e-6)
-        assert fit.intercept_raw == pytest.approx(beta_raw[0], abs=1e-6)
+        assert fit.intercept_corrected + _correction(sub) == pytest.approx(
+            beta_raw[0], abs=1e-6
+        )
 
     def test_monte_carlo_recovery(self):
         # z ~ N(0,1), phi(z) = sigmoid(0.5 + z), n = 10^4, 200 queries:
@@ -145,7 +156,9 @@ class TestAdjustedLogistic:
         labels = np.concatenate([np.zeros(20), np.ones(20)])
         fit = fit_adjusted_logistic(_subsample(values, labels))
         assert fit.separated
-        assert abs(fit.slope) <= 30.0 and abs(fit.intercept_raw) <= 30.0
+        # _subsample queries every missing entry: the corrected intercept is
+        # the clipped raw one.
+        assert abs(fit.slope) <= 30.0 and abs(fit.intercept_corrected) <= 30.0
 
     def test_steep_overlapping_fit_not_clipped(self):
         # Scaling the covariate by 1e-3 scales the optimal slope by 1e3; the
@@ -158,7 +171,9 @@ class TestAdjustedLogistic:
         assert not steep.separated
         assert abs(steep.slope) > 30.0
         assert steep.slope == pytest.approx(base.slope * 1e3, rel=1e-6)
-        assert steep.intercept_raw == pytest.approx(base.intercept_raw, abs=1e-6)
+        assert steep.intercept_corrected == pytest.approx(
+            base.intercept_corrected + _correction(sub), abs=1e-6
+        )
 
     def test_entry_respects_clamp(self):
         fit_entry = LogisticScalar(a0=0.0, a1=10.0, tau=-1)
