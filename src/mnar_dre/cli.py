@@ -460,13 +460,15 @@ EXPERIMENT_KINDS = {
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged, and every call of ``main`` gets a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    # Every parser refuses a prefix of a flag, as a config file does a key's.
+    no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = no_abbrev(
         prog="mnar-dre",
         description="Density ratio estimation and error-controlled "
         "classification for data that is missing not at random.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=no_abbrev)
 
     def common(p, func, csv=True):
         p.set_defaults(func=func, command_parser=p)
@@ -539,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="column:lo:hi ('none' to skip a side)")
 
     p = sub.add_parser("experiment", help="run a replication study")
-    kinds = p.add_subparsers(dest="kind", required=True)
+    kinds = p.add_subparsers(dest="kind", required=True, parser_class=no_abbrev)
     for kind, (config_class, _, unset) in EXPERIMENT_KINDS.items():
         k = kinds.add_parser(kind)
         common(k, _cmd_experiment, csv=False)

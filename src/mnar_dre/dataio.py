@@ -50,8 +50,10 @@ from .np_classify import PAPER_MARGIN_CONSTANT, NpClassifier, ThresholdResult
 # CSV ingestion / emission
 # ---------------------------------------------------------------------------
 
-# Rows that ``read_dataset_csv`` parses at a time in bulk.
-_CSV_CHUNK_ROWS = 8192
+# Fields that ``read_dataset_csv`` parses at a time in bulk, so a chunk holds
+# max(1, 8192 // width) rows.  The budget counts fields, not rows, because a
+# chunk's Python strings, not the parsed arrays, set the reader's peak memory.
+_CSV_CHUNK_FIELDS = 8192
 # Every byte but the field and row separators, to pull out a chunk's layout.
 _NOT_CSV_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
 
@@ -135,7 +137,7 @@ def _read_rows_bulk(
         token_value = None
     row_separators = b"," * (width - 1) + b"\n"
     chunks0, chunks1 = [], []
-    while lines := list(itertools.islice(fh, _CSV_CHUNK_ROWS)):
+    while lines := list(itertools.islice(fh, max(1, _CSV_CHUNK_FIELDS // width))):
         text = "".join(lines).replace("\r\n", "\n")
         if '"' in text or "\r" in text:
             return None
@@ -165,7 +167,9 @@ def _read_rows_bulk(
         chunks0.append(np.compress(~is1, values, axis=0))
         chunks1.append(np.compress(is1, values, axis=0))
     empty = [np.empty((0, width - 1))]
-    return np.concatenate(chunks0 or empty), np.concatenate(chunks1 or empty)
+    values0 = np.concatenate(chunks0 or empty)
+    del chunks0  # class 0's chunks are freed before class 1's are joined
+    return values0, np.concatenate(chunks1 or empty)
 
 
 def read_dataset_csv(
@@ -187,7 +191,8 @@ def read_dataset_csv(
     NaN.  Whitespace around a field is ignored, fields may be quoted, and
     line ends may be ``\\n``, ``\\r\\n`` or ``\\r``.
 
-    Rows are parsed in bulk, a chunk of rows at a time.  A file with quotes,
+    Rows are parsed in bulk, a chunk of about 8,192 fields at a time, so the
+    strings held at once stay few however wide the file.  A file with quotes,
     ``\\r`` line ends, whitespace around a label or token, or any bad row is
     read again from the start by a row-by-row loop, which returns the same
     arrays or raises the ``DataError`` that names the first bad row.

@@ -444,6 +444,34 @@ class TestExperimentKindFlags:
         assert not out.exists()
 
 
+# A prefix of a flag is refused, as its prefix in a config file is: each
+# argv is complete but for the one abbreviated flag.
+POWER = ["experiment", "power", "--scenario", "mixture2d", "--n", "50", "--reps", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (POWER, ["--calib", "80"]),
+        (POWER, ["--work", "2"]),
+        (["fit", "--mode", "kliep"], ["--da", "{latent}"]),
+        (["fit", "--data", "{latent}"], ["--mo", "mkliep"]),
+    ],
+    ids=["calib", "work", "da", "mo"],
+)
+def test_flag_prefix_exits_2(files, argv, prefix, capsys):
+    out = files["dir"] / "prefix.out"
+    argv = [a.format(latent=files["latent"]) for a in [*argv, *prefix]]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_version_flag_prefix_exits_2(capsys):
+    assert cli.main(["--vers"]) == 2
+    assert cli.main(["--version"]) == 0
+
+
 class TestExperimentConfig:
     @pytest.mark.parametrize("scenario", ["mixture2d", "gauss5d", "diff-var", "vary-misspec"])
     def test_nb_mkliep_on_whole_point_scenario_exits_2(self, files, scenario, capsys):

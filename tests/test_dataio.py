@@ -25,6 +25,7 @@ from mnar_dre.model import (
     Zero,
 )
 from mnar_dre.naive_bayes import NaiveBayesRatioModel
+from testkit import traced_peak
 
 
 def _csv(tmp_path, text: str, name: str = "data.csv") -> str:
@@ -302,6 +303,77 @@ def test_many_rows_read_bit_identical_to_the_oracle(tmp_path):
     for ds, arr in zip(got[:2], want[:2]):
         assert ds.values.shape == arr.shape
         assert ds.values.tobytes() == arr.tobytes()
+
+
+def _chunk_case(width: int, k: str) -> tuple[int, int]:
+    """Rows per bulk chunk at ``width`` fields, and the file's row count."""
+    chunk = max(1, dataio._CSV_CHUNK_FIELDS // width)
+    return chunk, {"-1": chunk - 1, "+0": chunk, "+1": chunk + 1, "2x+1": 2 * chunk + 1}[k]
+
+
+# Widths counting the label; the row counts are a chunk -1, +0, +1 and 2x + 1.
+CHUNK_CASES = [(width, k) for width in (2, 3, 51) for k in ("-1", "+0", "+1", "2x+1")]
+
+
+def _chunk_boundary_csv(tmp_path, width: int, k: str, bad: bool = False) -> str:
+    """A file of plain rows with ``NA`` and empty fields in the first and
+    last row of every chunk; with ``bad``, a non-numeric field in the first
+    row of the last chunk."""
+    chunk, n = _chunk_case(width, k)
+    rng = np.random.default_rng(width)
+    z = rng.standard_normal((n, width - 1)) * 10.0 ** rng.integers(-300, 300, (n, width - 1))
+    rows = [[repr(v) for v in row] for row in z.tolist()]
+    for i, row in enumerate(rows):
+        c, pos = divmod(i, chunk)
+        if pos in (0, chunk - 1) or i == n - 1:
+            # Which mark comes first follows the parity of chunk plus
+            # position, so that a single feature column (width 2) gets both.
+            row[0], row[-1] = ("NA", "") if (c + pos) % 2 else ("", "NA")
+    if bad:
+        rows[(n - 1) // chunk * chunk][-1] = "x"
+    header = [f"f{j}" for j in range(width - 1)] + ["label"]
+    text = ",".join(header) + "\n" + "".join(
+        ",".join(row) + f",{i % 2}\n" for i, row in enumerate(rows)
+    )
+    return _csv(tmp_path, text)
+
+
+@pytest.mark.parametrize("width, k", CHUNK_CASES)
+def test_chunk_boundaries_read_bit_identical_to_the_oracle(tmp_path, width, k):
+    path = _chunk_boundary_csv(tmp_path, width, k)
+    got = dataio.read_dataset_csv(path)
+    want = _oracle_read(path, "NA")
+    assert got[2] == want[2]
+    for ds, arr in zip(got[:2], want[:2]):
+        assert ds.values.shape == arr.shape
+        assert ds.values.tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("width, k", CHUNK_CASES)
+def test_bad_field_opening_the_last_chunk_is_named(tmp_path, width, k):
+    path = _chunk_boundary_csv(tmp_path, width, k, bad=True)
+    with pytest.raises(DataError) as want:
+        _oracle_read(path, "NA")
+    with pytest.raises(DataError) as got:
+        dataio.read_dataset_csv(path)
+    assert str(got.value) == str(want.value)
+    chunk, n = _chunk_case(width, k)
+    assert str(got.value).startswith(f"row {(n - 1) // chunk * chunk + 2}: ")
+
+
+@pytest.mark.parametrize("n, d", [(20000, 2), (2000, 50)])
+def test_read_peak_memory_is_twice_its_arrays_plus_two_mib(tmp_path, n, d):
+    # Bound fixed before the first run: each class array and the copy that
+    # Dataset keeps of it, plus 2 MiB for one chunk of field strings.  Chunks
+    # of 8,192 rows at any width peaked at 4.3 and 24.4 MiB, against bounds
+    # of 3.2 and 5.1 MiB.
+    rng = np.random.default_rng(d)
+    x1 = rng.standard_normal((n, d))
+    x1[rng.random((n, d)) < 0.3] = math.nan
+    path = tmp_path / "data.csv"
+    dataio.write_dataset_csv(path, Dataset(rng.standard_normal((n, d)), 0), Dataset(x1, 1))
+    (class0, class1, _), peak = traced_peak(lambda: dataio.read_dataset_csv(path))
+    assert peak <= 2 * (class0.values.nbytes + class1.values.nbytes) + 2 * 2**20
 
 
 # -- written bytes against a csv.DictWriter oracle ---------------------------
