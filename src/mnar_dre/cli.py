@@ -31,6 +31,7 @@ sample is drawn independently of the data the model was fitted on.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import math
@@ -44,6 +45,7 @@ from .missingness import learn_missingness
 from .model import (
     EPS_PHI,
     ConfigError,
+    Dataset,
     DataError,
     FeatureMap,
     MissingnessFunction,
@@ -288,7 +290,8 @@ def _cmd_classify(args) -> int:
             )
         scores = clf.score_fn(ds.values)
         classified.append((ds.label, scores, labels_from_scores(scores, clf.threshold)))
-    dataio.write_labels_csv(args.out, classified, meta={"classifier": args.classifier})
+    meta = dataio.meta_text({"classifier": args.classifier})
+    dataio.write_labels_csv(args.out, classified, meta)
     print(f"wrote {class0.n + class1.n} labels to {args.out}")
     return 0
 
@@ -298,7 +301,8 @@ def _cmd_learn_phi(args) -> int:
     label = 1 if args.class_label is None else args.class_label
     corrupted = _read_csv(args, args.data)[label]
     latent = _read_csv(args, args.latent)[label]
-    phi = learn_missingness(corrupted, latent, args.queries, args.seed or 0)
+    rng = np.random.default_rng(args.seed or 0)
+    phi = learn_missingness(corrupted, latent, args.queries, rng)
     with open(args.out, "w") as fh:
         fh.write(dataio.missingness_to_text(phi))
     print(f"wrote learned missingness to {args.out}")
@@ -326,7 +330,7 @@ def _cmd_corrupt(args) -> int:
             raise ConfigError(
                 "corrupt needs --phi, --preset paper-rwe, or --target-proportion"
             )
-        by_label[label] = dataio.corrupt_dataset(ds, phi, rng)
+        by_label[label] = Dataset(phi.corrupt(ds.values, rng), label)
     dataio.write_dataset_csv(
         args.out, by_label[0], by_label[1], args.missing_token or "NA",
         feature_names=names, label_column=args.label_column or "label",
@@ -380,43 +384,63 @@ def _cmd_experiment(args) -> int:
         "version": __version__,
         "config_hash": dataio.config_hash(settings),
     }
-    dataio.write_table_csv(args.out, rows, meta=meta)
+    dataio.write_table_csv(args.out, rows, dataio.meta_text(meta))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _table_number(row: dict, key: str, row_num: int) -> int | float:
-    """``row[key]``, which ``read_table_csv`` leaves a string unless it parses
-    as a number; a string raises ``DataError`` naming the row and column."""
-    value = row[key]
-    if not isinstance(value, (int, float)):
-        raise DataError(
-            f"table row {row_num}: column {key!r} is not a number: {value!r}"
-        )
-    return value
+    """``row[key]`` read as an int, else as a float; other text raises
+    ``DataError`` naming the row and column."""
+    for parse in (int, float):
+        try:
+            return parse(row[key])
+        except ValueError:
+            pass
+    raise DataError(
+        f"table row {row_num}: column {key!r} is not a number: {row[key]!r}"
+    )
 
 
 def _cmd_emit_plot_data(args) -> int:
+    """Copy the table's meta line and cells as text and append the
+    ``*_lo``/``*_hi`` bounds and ``log_n`` that its columns give; a column
+    already named so is overwritten in place."""
     _require(args, "table", "out")
-    rows, meta = dataio.read_table_csv(args.table)
-    out_rows = []
-    for row_num, row in enumerate(rows, start=1):
-        new = dict(row)
-        for stat, half in (("power_mean", "power_ci_half"), ("msd_mean", "ci_half")):
-            if stat in row and half in row:
-                mean = _table_number(row, stat, row_num)
-                width = _table_number(row, half, row_num)
-                new[stat.replace("_mean", "_lo")] = mean - width
-                new[stat.replace("_mean", "_hi")] = mean + width
-        if "n" in row:
-            n = _table_number(row, "n", row_num)
-            if not n > 0:
+    with open(args.table, newline="") as fh:
+        first = fh.readline()
+        if first.startswith("#"):
+            meta = first[1:].rstrip("\r\n").removeprefix(" ")
+        else:
+            meta = ""
+            fh.seek(0)
+        rows = dataio._numbered_rows(csv.reader(fh), 0)
+        _, header = next(rows, (0, []))
+        out_rows = []
+        for row_num, row in rows:
+            if not row:
+                continue  # a blank line
+            if len(row) != len(header):
                 raise DataError(
-                    f"table row {row_num}: column 'n' must be positive, got {n!r}"
+                    f"table row {row_num}: expected {len(header)} fields, "
+                    f"got {len(row)}"
                 )
-            new["log_n"] = float(np.log(n))
-        out_rows.append(new)
-    dataio.write_table_csv(args.out, out_rows, meta=meta)
+            new = dict(zip(header, row))
+            for stat, half in (("power_mean", "power_ci_half"), ("msd_mean", "ci_half")):
+                if stat in new and half in new:
+                    mean = _table_number(new, stat, row_num)
+                    width = _table_number(new, half, row_num)
+                    new[stat.replace("_mean", "_lo")] = mean - width
+                    new[stat.replace("_mean", "_hi")] = mean + width
+            if "n" in new:
+                n = _table_number(new, "n", row_num)
+                if not n > 0:
+                    raise DataError(
+                        f"table row {row_num}: column 'n' must be positive, got {n!r}"
+                    )
+                new["log_n"] = float(np.log(n))
+            out_rows.append(new)
+    dataio.write_table_csv(args.out, out_rows, meta)
     print(f"wrote {len(out_rows)} plot rows to {args.out}")
     return 0
 

@@ -12,21 +12,21 @@ carry a prefix: ``dimJ.`` per naive-Bayes dimension, ``model.`` inside a
 classifier file.
 
 Tables (``write_table_csv`` and the ``classify`` output of
-``write_labels_csv``) start with a ``# key=value ...`` meta line ended by
-``\\n``, and their header and rows are ended by ``\\r\\n``, as ``csv.writer``
-ends them.  Both endings are kept so that tables stay byte-identical to the
-ones written before.
+``write_labels_csv``) are written, never parsed: ``emit-plot-data`` copies a
+table's meta line and cells as text.  A table starts with a ``# `` meta line
+ended by ``\\n``, whose ``key=value ...`` text ``meta_text`` builds from a
+command's settings, and its header and rows are ended by ``\\r\\n``, as
+``csv.writer`` ends them.  Both endings are kept so that tables stay
+byte-identical to the ones written before.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import itertools
 import json
 import math
-import re
 import warnings
 
 import numpy as np
@@ -243,44 +243,18 @@ def write_dataset_csv(
                 )
 
 
-# The space before each ``key=`` of a meta line; values may hold spaces.
-_META_ITEM_BREAK = re.compile(r" (?=[A-Za-z_]\w*=)")
+def meta_text(meta: dict) -> str:
+    """The text of a table's meta line: ``key=value`` items in key order."""
+    return " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
 
 
-def _write_meta_line(fh, meta: dict) -> None:
-    items = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-    fh.write(f"# {items}\n")
-
-
-def _parse_meta_line(text: str) -> dict:
-    """Read the ``key=value`` items that ``_write_meta_line`` joined.
-
-    The writer sorts the keys, so a space and ``key=`` start a new item only
-    where ``key`` sorts after the previous key; elsewhere they belong to the
-    previous value.  A value that holds `` k=`` with ``k`` sorting after its
-    own key is still split there, but the items are then written back to the
-    same bytes.
-    """
-    meta: dict = {}
-    key = None
-    for item in _META_ITEM_BREAK.split(text):
-        k, eq, v = item.partition("=")
-        if eq and (key is None or k > key):
-            key = k
-            meta[key] = v
-        elif key is not None:
-            meta[key] += " " + item
-    return meta
-
-
-def write_table_csv(path, rows: list[dict], meta: dict | None = None) -> None:
-    """Write experiment rows with a leading comment line recording the config."""
+def write_table_csv(path, rows: list[dict], meta: str) -> None:
+    """Write experiment rows after a ``# `` comment line holding ``meta``."""
     if not rows:
         raise DataError("no rows to write")
     fieldnames = list(rows[0].keys())
     with open(path, "w", newline="") as fh:
-        if meta is not None:
-            _write_meta_line(fh, meta)
+        fh.write(f"# {meta}\n")
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:
@@ -292,7 +266,7 @@ def write_table_csv(path, rows: list[dict], meta: dict | None = None) -> None:
             )
 
 
-def write_labels_csv(path, classified, meta: dict) -> None:
+def write_labels_csv(path, classified, meta: str) -> None:
     """Write ``classify`` output: the meta line, then one
     ``true_label,score,label`` row per point, in the bytes that
     ``write_table_csv`` writes for those rows.
@@ -301,39 +275,13 @@ def write_labels_csv(path, classified, meta: dict) -> None:
     Rows are formatted as they are written, so no per-row object is kept.
     """
     with open(path, "w", newline="") as fh:
-        _write_meta_line(fh, meta)
+        fh.write(f"# {meta}\n")
         fh.write("true_label,score,label\r\n")
         for truth, scores, labels in classified:
             fh.writelines(
                 f"{truth},{score!r},{label}\r\n"
                 for score, label in zip(scores.tolist(), labels.tolist())
             )
-
-
-def read_table_csv(path) -> tuple[list[dict], dict]:
-    """Read a table written by ``write_table_csv`` (comment line optional)."""
-    meta: dict = {}
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            meta = _parse_meta_line(first[1:].rstrip("\r\n").removeprefix(" "))
-            body = fh.read()
-        else:
-            body = first + fh.read()
-    reader = csv.DictReader(io.StringIO(body))
-    rows = []
-    for row in reader:
-        parsed = {}
-        for k, v in row.items():
-            try:
-                parsed[k] = int(v)
-            except (TypeError, ValueError):
-                try:
-                    parsed[k] = float(v)
-                except (TypeError, ValueError):
-                    parsed[k] = v
-        rows.append(parsed)
-    return rows, meta
 
 
 def config_hash(config: dict) -> str:
@@ -402,14 +350,6 @@ def preprocess(
 # ---------------------------------------------------------------------------
 # Corruption
 # ---------------------------------------------------------------------------
-
-
-def corrupt_dataset(
-    dataset: Dataset, phi: MissingnessFunction, seed: int | np.random.Generator
-) -> Dataset:
-    """Apply a missingness function to one dataset, deterministic per seed."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return Dataset(phi.corrupt(dataset.values, rng), dataset.label)
 
 
 def solve_target_proportion(column: np.ndarray, target: float) -> LogisticScalar:

@@ -56,18 +56,16 @@ def simulate_query(
     column: np.ndarray,
     latent: np.ndarray,
     m_q: int,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
 ) -> QuerySubsample:
     """Query the latent values of ``m_q`` missing entries, chosen uniformly
     without replacement.
 
     The subsample is every observed entry, then the queried missing ones in
-    index order, each labelled by whether it had been missing.  Deterministic
-    per seed.
+    index order, each labelled by whether it had been missing.  The queried
+    entries are drawn from ``rng``.
     """
     _check_budget(m_q)
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     column = np.asarray(column, dtype=float)
     latent = np.asarray(latent, dtype=float)
     if column.shape != latent.shape or column.ndim != 1:
@@ -153,7 +151,7 @@ def learn_missingness(
     corrupted: Dataset,
     latent: Dataset,
     m_q: int,
-    seed: int | np.random.Generator,
+    rng: np.random.Generator,
 ) -> MissingnessFunction:
     """Learn a per-coordinate logistic missingness function by querying
     ``m_q`` missing entries of each coordinate.
@@ -162,7 +160,6 @@ def learn_missingness(
     learned from its own column only.
     """
     _check_budget(m_q)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if corrupted.values.shape != latent.values.shape:
         raise DataError(
             "corrupted and latent datasets must have matching shapes, got "

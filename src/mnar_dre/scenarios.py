@@ -358,27 +358,30 @@ class SyntheticDraw:
 def generate(
     scenario: Scenario,
     n: int,
-    seed: int | np.random.SeedSequence | np.random.Generator,
+    rng: np.random.Generator,
     corrupt_class: int = 1,
 ) -> SyntheticDraw:
-    """Draw n points per class and corrupt the chosen class; deterministic per seed."""
+    """Draw n points per class from ``rng`` and corrupt the chosen class.
+
+    The class left uncorrupted is one ``Dataset``, both its latent and its
+    corrupted data.
+    """
     if corrupt_class not in (0, 1):
         raise ValueError("corrupt_class must be 0 or 1")
-    rng = (
-        seed
-        if isinstance(seed, np.random.Generator)
-        else np.random.default_rng(seed)
-    )
-    z1 = scenario.class1.sample(n, rng)
-    z0 = scenario.class0.sample(n, rng)
+    latent1 = Dataset(scenario.class1.sample(n, rng), 1)
+    latent0 = Dataset(scenario.class0.sample(n, rng), 0)
     phi1, phi0 = scenario.phi_pair(corrupt_class)
-    x1 = phi1.corrupt(z1, rng) if corrupt_class == 1 else z1
-    x0 = phi0.corrupt(z0, rng) if corrupt_class == 0 else z0
+    if corrupt_class == 1:
+        corrupted1 = Dataset(phi1.corrupt(latent1.values, rng), 1)
+        corrupted0 = latent0
+    else:
+        corrupted1 = latent1
+        corrupted0 = Dataset(phi0.corrupt(latent0.values, rng), 0)
     return SyntheticDraw(
-        latent1=Dataset(z1, 1),
-        latent0=Dataset(z0, 0),
-        corrupted1=Dataset(x1, 1),
-        corrupted0=Dataset(x0, 0),
+        latent1=latent1,
+        latent0=latent0,
+        corrupted1=corrupted1,
+        corrupted0=corrupted0,
         phi1=phi1,
         phi0=phi0,
         true_log_ratio=scenario.true_log_ratio,

@@ -1,6 +1,8 @@
 """Command-line behaviour: exit codes, the missingness text format, and
 byte-identical reruns of whole command chains."""
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -51,7 +53,7 @@ def files(tmp_path_factory):
     phi1 = MissingnessFunction.per_coordinate(
         [LogisticScalar(a0=-0.5, a1=1.0), LogisticScalar(a0=-1.0, a1=0.5)]
     )
-    train1 = dataio.corrupt_dataset(latent1, phi1, rng)
+    train1 = Dataset(phi1.corrupt(latent1.values, rng), 1)
     paths = {name: str(d / f"{name}.csv") for name in ("latent", "train", "cal", "test")}
     dataio.write_dataset_csv(paths["latent"], latent0, latent1)
     dataio.write_dataset_csv(paths["train"], latent0, train1)
@@ -296,7 +298,7 @@ def command_inputs(files):
     bad_cfg.write_text("reps 1\n")  # no '='
     table, empty_table = d / "exit-table.csv", d / "exit-empty-table.csv"
     dataio.write_table_csv(table, [{"n": 50, "msd_mean": 0.1, "ci_half": 0.01}],
-                           meta={"command": "experiment-msd"})
+                           "command=experiment-msd")
     empty_table.write_text("# command=experiment-msd\nn,msd_mean,ci_half\n")
     csv_input = {"fit": "latent", "np-calibrate": "cal", "classify": "test",
                  "learn-phi": "train", "corrupt": "latent", "preprocess": "latent"}
@@ -489,8 +491,10 @@ class TestExperimentConfig:
                        "--n", "200", "--reps", "1", "--n-test", "1000", "--n-type1",
                        "1000", "--estimators", "nb-mkliep", "--out", str(out)])
         assert rc == 0
-        rows, _ = dataio.read_table_csv(out)
-        assert rows[0]["estimator"] == "nb-mkliep" and rows[0]["failed"] == 0
+        with open(out, newline="") as fh:
+            fh.readline()  # the meta line
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["estimator"] == "nb-mkliep" and rows[0]["failed"] == "0"
 
     @pytest.mark.parametrize(
         "argv, named",
@@ -826,6 +830,86 @@ def test_classify_scores_each_point_once(files, monkeypatch, per_dim):
     assert sum(scored) == 600 * (2 if per_dim else 1)
 
 
+def _number_or_text(text: str):
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _plot_rows_oracle(table) -> bytes:
+    """The header and rows that emit-plot-data wrote when it parsed the table:
+    every cell read as an int, else a float, else kept as text, the derived
+    columns set, and the rows written back by ``csv.DictWriter`` with floats
+    as their ``repr``."""
+    with open(table, newline="") as fh:
+        if not fh.readline().startswith("#"):
+            fh.seek(0)
+        rows = [{k: _number_or_text(v) for k, v in row.items()}
+                for row in csv.DictReader(fh)]
+    for row in rows:
+        for stat, half in (("power_mean", "power_ci_half"), ("msd_mean", "ci_half")):
+            if stat in row and half in row:
+                row[stat.replace("_mean", "_lo")] = row[stat] - row[half]
+                row[stat.replace("_mean", "_hi")] = row[stat] + row[half]
+        if "n" in row:
+            row["log_n"] = float(np.log(row["n"]))
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: repr(v) if isinstance(v, float) else v
+                         for k, v in row.items()})
+    return buf.getvalue().encode()
+
+
+@pytest.fixture(scope="module")
+def program_tables(files, tmp_path_factory):
+    """A table of each kind the program writes, by name."""
+    d = tmp_path_factory.mktemp("program-tables")
+    runs = {
+        "msd": ["experiment", "msd", "--scenario", "gauss5d", "--n", "50,60",
+                "--reps", "2"],
+        # Every nb-mkliep-learned replication fails: nan and inf cells.
+        "power": ["experiment", "power", "--scenario", "mixture2d-logistic",
+                  "--n", "6", "--reps", "2", "--n-test", "500", "--n-type1", "500",
+                  "--estimators", "true-ratio,mkliep,nb-mkliep-learned"],
+        "rho-sweep": ["experiment", "rho-sweep", "--scenario", "nb-rho",
+                      "--rho", "0.2,0.5", "--n", "200", "--reps", "1",
+                      "--n-test", "500", "--n-type1", "500"],
+        "classify": ["classify", "--classifier", files["clf"],
+                     "--data", files["test"]],
+    }
+    tables = {}
+    for name, argv in runs.items():
+        tables[name] = d / f"{name}.csv"
+        assert cli.main([*argv, "--out", str(tables[name])]) == 0
+    tables["plot"] = d / "plot.csv"
+    assert cli.main(["emit-plot-data", "--table", str(tables["msd"]),
+                     "--out", str(tables["plot"])]) == 0
+    return tables
+
+
+@pytest.mark.parametrize("name", ["msd", "power", "rho-sweep", "classify", "plot"])
+def test_emit_plot_data_matches_the_parsing_oracle(program_tables, name, tmp_path):
+    table, plot = program_tables[name], tmp_path / "plot.csv"
+    assert cli.main(["emit-plot-data", "--table", str(table), "--out", str(plot)]) == 0
+    meta_line = table.read_bytes().split(b"\n", 1)[0] + b"\n"
+    assert plot.read_bytes() == meta_line + _plot_rows_oracle(table)
+
+
+def test_emit_plot_data_over_its_own_table(program_tables, tmp_path):
+    # The whole table is read before the output is opened.
+    table = tmp_path / "table.csv"
+    table.write_bytes(program_tables["power"].read_bytes())
+    want = program_tables["power"].read_bytes().split(b"\n", 1)[0] + b"\n"
+    want += _plot_rows_oracle(table)
+    assert cli.main(["emit-plot-data", "--table", str(table), "--out", str(table)]) == 0
+    assert table.read_bytes() == want
+
+
 def test_meta_value_with_spaces_round_trips_through_emit_plot_data(files, tmp_path):
     spaced = tmp_path / "sp ace b=1"
     spaced.mkdir()
@@ -837,8 +921,39 @@ def test_meta_value_with_spaces_round_trips_through_emit_plot_data(files, tmp_pa
     assert cli.main(["emit-plot-data", "--table", str(labels), "--out", str(plot)]) == 0
     meta_line = f"# classifier={clf}\n"
     assert labels.read_text().startswith(meta_line)
-    assert plot.read_text().startswith(meta_line)
-    assert dataio.read_table_csv(plot)[1] == {"classifier": str(clf)}
+    assert plot.read_bytes() == meta_line.encode() + _plot_rows_oracle(labels)
+
+
+@pytest.mark.parametrize(
+    "first, meta",
+    [
+        ("# b=1 a=2\n", "b=1 a=2"),
+        ("#a=1\r\n", "a=1"),
+        ("# a=1  b=2\n", "a=1  b=2"),
+        ("# classifier=runs/a z=1/clf.txt\n", "classifier=runs/a z=1/clf.txt"),
+        ("# classifier=sp ace b=1/clf x.txt\n", "classifier=sp ace b=1/clf x.txt"),
+        ("# command=two  spaces seed=x command=y tail=ends in a space \n",
+         "command=two  spaces seed=x command=y tail=ends in a space "),
+        ("# hello a=1\n", "hello a=1"),
+        ("", ""),
+    ],
+)
+def test_emit_plot_data_copies_the_meta_line(tmp_path, first, meta):
+    table, plot = tmp_path / "table.csv", tmp_path / "plot.csv"
+    table.write_bytes(f"{first}n,msd_mean,ci_half\r\n50,0.1,0.01\r\n".encode())
+    assert cli.main(["emit-plot-data", "--table", str(table), "--out", str(plot)]) == 0
+    assert plot.read_bytes() == f"# {meta}\n".encode() + _plot_rows_oracle(table)
+
+
+def test_emit_plot_data_copies_cells_as_written(tmp_path):
+    table, plot = tmp_path / "table.csv", tmp_path / "plot.csv"
+    table.write_bytes(b"# x\nn,msd_mean,ci_half,note\n1_000,1.50,+5,\" q\"\n\n2,3,1,\n")
+    assert cli.main(["emit-plot-data", "--table", str(table), "--out", str(plot)]) == 0
+    assert plot.read_bytes() == (
+        b"# x\nn,msd_mean,ci_half,note,msd_lo,msd_hi,log_n\r\n"
+        + f"1_000,1.50,+5, q,-3.5,6.5,{float(np.log(1000))!r}\r\n".encode()
+        + f"2,3,1,,2,4,{float(np.log(2))!r}\r\n".encode()
+    )
 
 
 @pytest.mark.parametrize(
@@ -849,6 +964,10 @@ def test_meta_value_with_spaces_round_trips_through_emit_plot_data(files, tmp_pa
         ("50,0.1,", "table row 1: column 'ci_half' is not a number: ''"),
         ("-5,0.1,0.01", "table row 1: column 'n' must be positive, got -5"),
         ("0,0.1,0.01", "table row 1: column 'n' must be positive, got 0"),
+        ("50,0.1,0.01,7", "table row 1: expected 3 fields, got 4"),
+        ("50,0.1", "table row 1: expected 3 fields, got 2"),
+        # A blank line is skipped but keeps its row number.
+        ("50,0.1,0.01\n\n60,0.1", "table row 3: expected 3 fields, got 2"),
     ],
 )
 def test_emit_plot_data_on_a_bad_field_exits_3(tmp_path, body, message, capsys):
@@ -856,6 +975,17 @@ def test_emit_plot_data_on_a_bad_field_exits_3(tmp_path, body, message, capsys):
     table.write_text(f"# command=experiment-msd\nn,msd_mean,ci_half\n{body}\n")
     assert cli.main(["emit-plot-data", "--table", str(table), "--out", str(plot)]) == 3
     assert f"data error: {message}" in capsys.readouterr().err
+    assert not plot.exists()
+
+
+def test_emit_plot_data_on_an_oversized_field_exits_3(tmp_path, capsys):
+    # The csv module refuses a field over 131,072 characters.
+    table, plot = tmp_path / "table.csv", tmp_path / "plot.csv"
+    big = "1" * 140_000
+    table.write_text(f'# command=experiment-msd\nn,msd_mean,ci_half\n50,0.1,0.01\n'
+                     f'60,"{big}",0.01\n')
+    assert cli.main(["emit-plot-data", "--table", str(table), "--out", str(plot)]) == 3
+    assert "data error: row 2: unreadable CSV row" in capsys.readouterr().err
     assert not plot.exists()
 
 

@@ -399,41 +399,8 @@ def test_table_bytes_match_the_dictwriter_oracle(tmp_path):
     ]
     meta = {"scenario": "mixture2d", "seed": 3, "command": "experiment-power"}
     path = tmp_path / "table.csv"
-    dataio.write_table_csv(path, rows, meta=meta)
+    dataio.write_table_csv(path, rows, dataio.meta_text(meta))
     assert path.read_bytes() == _oracle_table(rows, meta)
-
-
-def _meta_round_trip(tmp_path, meta):
-    """(meta read back, whether writing it back gives the same bytes)."""
-    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-    dataio.write_table_csv(first, [{"n": 1, "power_mean": 0.5}], meta=meta)
-    rows, back = dataio.read_table_csv(first)
-    dataio.write_table_csv(second, rows, meta=back)
-    return back, second.read_bytes() == first.read_bytes()
-
-
-@pytest.mark.parametrize(
-    "meta",
-    [
-        {"classifier": "sp ace/clf x.txt", "command": "two  spaces",
-         "seed": 3, "tail": "ends in a space "},
-        # `` b=`` inside a value: b sorts before the value's own key.
-        {"classifier": "runs/a b=1/clf.txt"},
-        {"classifier": "runs/a b=1/clf.txt", "seed": "x command=y"},
-    ],
-)
-def test_meta_values_with_spaces_round_trip(tmp_path, meta):
-    back, same_bytes = _meta_round_trip(tmp_path, meta)
-    assert back == {k: str(v) for k, v in meta.items()}
-    assert same_bytes
-
-
-def test_meta_value_holding_a_later_key_keeps_its_bytes(tmp_path):
-    # `` z=`` sorts after ``classifier``, so the reader cannot tell it from
-    # a key of its own and reads two items; the line still goes back to the
-    # same bytes.
-    _, same_bytes = _meta_round_trip(tmp_path, {"classifier": "runs/a z=1"})
-    assert same_bytes
 
 
 def test_classify_output_matches_the_dictwriter_oracle(tmp_path):
@@ -468,7 +435,7 @@ def test_labels_with_an_empty_class_match_the_dictwriter_oracle(tmp_path, sizes)
         scores[: n // 2] = [-0.0, math.inf][: n // 2]
         classified.append((truth, scores, (scores > 0.1).astype(int)))
     out = tmp_path / "labels.csv"
-    dataio.write_labels_csv(out, classified, {"classifier": "c.txt"})
+    dataio.write_labels_csv(out, classified, "classifier=c.txt")
     rows = [
         {"true_label": truth, "score": float(s), "label": int(lab)}
         for truth, scores, labels in classified

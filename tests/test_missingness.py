@@ -54,7 +54,7 @@ class TestSimulateQuery:
     def test_zero_budget_keeps_observed_only(self):
         x = np.array([1.0, np.nan, 2.0, np.nan])
         z = np.array([1.0, -5.0, 2.0, -6.0])
-        sub = simulate_query(x, z, 0, 0)
+        sub = simulate_query(x, z, 0, np.random.default_rng(0))
         assert list(sub.values) == [1.0, 2.0]
         assert list(sub.labels) == [0, 0]
         assert sub.n_missing == 2 and sub.n_queried == 0
@@ -62,7 +62,7 @@ class TestSimulateQuery:
     def test_full_budget_recovers_everything(self):
         x = np.array([1.0, np.nan, 2.0, np.nan])
         z = np.array([1.0, -5.0, 2.0, -6.0])
-        sub = simulate_query(x, z, 2, 0)
+        sub = simulate_query(x, z, 2, np.random.default_rng(0))
         # The observed entries, then the queried ones in index order.
         assert list(sub.values) == [1.0, 2.0, -5.0, -6.0]
         assert list(sub.labels) == [0, 0, 1, 1]
@@ -71,29 +71,30 @@ class TestSimulateQuery:
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(1)
         x, z = _column_with_missing(rng)
-        a = simulate_query(x, z, 50, 123)
-        b = simulate_query(x, z, 50, 123)
+        a = simulate_query(x, z, 50, np.random.default_rng(123))
+        b = simulate_query(x, z, 50, np.random.default_rng(123))
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.labels, b.labels)
 
     def test_budget_exceeding_missing_count_errors(self):
         x = np.array([1.0, np.nan])
         with pytest.raises(DataError, match="exceeds"):
-            simulate_query(x, x, 2, 0)
+            simulate_query(x, x, 2, np.random.default_rng(0))
 
     def test_plan_validation(self):
         x = np.array([1.0, np.nan])
         with pytest.raises(DataError, match="non-negative"):
-            simulate_query(x, x, -1, 0)
+            simulate_query(x, x, -1, np.random.default_rng(0))
         with pytest.raises(DataError, match="non-negative"):
-            learn_missingness(Dataset(x, 1), Dataset(np.ones(2), 1), -1, 0)
+            learn_missingness(Dataset(x, 1), Dataset(np.ones(2), 1), -1,
+                              np.random.default_rng(0))
 
 
 class TestAdjustedLogistic:
     def test_intercept_correction_identity(self):
         rng = np.random.default_rng(2)
         x, z = _column_with_missing(rng)
-        sub = simulate_query(x, z, 100, 7)
+        sub = simulate_query(x, z, 100, np.random.default_rng(7))
         fit = fit_adjusted_logistic(sub)
         raw = newton(_logistic_nll(sub.values, sub.labels.astype(float)), np.zeros(2))
         assert sub.n_queried == 100 and sub.n_missing == int(np.isnan(x).sum())
@@ -106,7 +107,7 @@ class TestAdjustedLogistic:
         rng = np.random.default_rng(3)
         x, z = _column_with_missing(rng, n=1500)
         n_missing = int(np.isnan(x).sum())
-        sub = simulate_query(x, z, n_missing, 11)
+        sub = simulate_query(x, z, n_missing, np.random.default_rng(11))
         fit = fit_adjusted_logistic(sub)
         assert _correction(sub) == 0.0
         beta_full = _logistic_oracle(z, np.isnan(x).astype(float))
@@ -116,7 +117,7 @@ class TestAdjustedLogistic:
     def test_slope_never_altered_by_correction(self):
         rng = np.random.default_rng(4)
         x, z = _column_with_missing(rng)
-        sub = simulate_query(x, z, 60, 5)
+        sub = simulate_query(x, z, 60, np.random.default_rng(5))
         fit = fit_adjusted_logistic(sub)
         beta_raw = _logistic_oracle(sub.values, sub.labels.astype(float))
         assert fit.slope == pytest.approx(beta_raw[1], abs=1e-6)
@@ -139,7 +140,7 @@ class TestAdjustedLogistic:
 
     def test_requires_both_labels(self):
         x = np.array([1.0, 2.0, 3.0])
-        sub = simulate_query(x, x, 0, 0)
+        sub = simulate_query(x, x, 0, np.random.default_rng(0))
         with pytest.raises(DataError, match="both"):
             fit_adjusted_logistic(sub)
 
@@ -165,7 +166,7 @@ class TestAdjustedLogistic:
         # labels still overlap, so the optimum is finite and comes back whole.
         rng = np.random.default_rng(4)
         x, z = _column_with_missing(rng)
-        sub = simulate_query(x, z, 60, 5)
+        sub = simulate_query(x, z, 60, np.random.default_rng(5))
         base = fit_adjusted_logistic(sub)
         steep = fit_adjusted_logistic(_subsample(sub.values * 1e-3, sub.labels))
         assert not steep.separated
@@ -187,7 +188,7 @@ class TestLearnMissingness:
         z = rng.normal(size=(500, 2))
         x = z.copy()
         x[rng.random(500) < 0.3, 1] = np.nan
-        phi = learn_missingness(Dataset(x, 1), Dataset(z, 1), 20, 9)
+        phi = learn_missingness(Dataset(x, 1), Dataset(z, 1), 20, np.random.default_rng(9))
         assert isinstance(phi.entries[0], Zero)
         assert isinstance(phi.entries[1], LogisticScalar)
 
@@ -198,7 +199,8 @@ class TestLearnMissingness:
         missing = rng.random(n) < expit(0.3 + 0.8 * z[:, 0])
         x = z.copy()
         x[missing, 0] = np.nan
-        phi = learn_missingness(Dataset(x, 1), Dataset(z, 1), 400, 13)
+        phi = learn_missingness(Dataset(x, 1), Dataset(z, 1), 400,
+                                np.random.default_rng(13))
         entry = phi.entries[0]
         assert entry.a0 == pytest.approx(0.3, abs=0.15)
         assert entry.a1 == pytest.approx(0.8, abs=0.15)
@@ -206,5 +208,6 @@ class TestLearnMissingness:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError):
             learn_missingness(
-                Dataset(np.ones((3, 1)), 1), Dataset(np.ones((4, 1)), 1), 0, 0
+                Dataset(np.ones((3, 1)), 1), Dataset(np.ones((4, 1)), 1), 0,
+                np.random.default_rng(0),
             )

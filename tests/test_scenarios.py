@@ -16,22 +16,22 @@ from testkit import population_theta_plugin, traced_peak
 class TestGenerate:
     def test_deterministic_per_seed(self):
         sc = make_scenario("mixture2d")
-        a = generate(sc, 200, 42)
-        b = generate(sc, 200, 42)
+        a = generate(sc, 200, np.random.default_rng(42))
+        b = generate(sc, 200, np.random.default_rng(42))
         assert np.array_equal(a.latent1.values, b.latent1.values)
         assert np.array_equal(a.corrupted1.values, b.corrupted1.values, equal_nan=True)
 
     def test_gauss5d_latent_mean(self):
         sc = make_scenario("gauss5d")
         n = 20_000
-        draw = generate(sc, n, 0)
+        draw = generate(sc, n, np.random.default_rng(0))
         mean = draw.latent1.values.mean(axis=0)
         assert np.all(np.abs(mean - 0.1) < 4.0 / np.sqrt(n))
         assert np.all(np.abs(draw.latent0.values.mean(axis=0)) < 4.0 / np.sqrt(n))
 
     def test_mixture2d_missingness_pattern(self):
         sc = make_scenario("mixture2d")
-        draw = generate(sc, 40_000, 1)
+        draw = generate(sc, 40_000, np.random.default_rng(1))
         above = draw.latent1.values[:, 1] > 2.0
         missing = np.isnan(draw.corrupted1.values).all(axis=1)
         assert missing[~above].sum() == 0
@@ -40,7 +40,7 @@ class TestGenerate:
 
     def test_nb_rho_per_coordinate_pattern(self):
         sc = make_scenario("nb-rho", rho=0.25)
-        draw = generate(sc, 30_000, 2)
+        draw = generate(sc, 30_000, np.random.default_rng(2))
         z = draw.latent1.values
         x = draw.corrupted1.values
         # coordinate 0 goes missing only where z0 > 0, coordinate 1 only z1 < 0
@@ -51,7 +51,7 @@ class TestGenerate:
 
     def test_corrupt_class_zero_knob(self):
         sc = make_scenario("gauss5d")
-        draw = generate(sc, 500, 3, corrupt_class=0)
+        draw = generate(sc, 500, np.random.default_rng(3), corrupt_class=0)
         assert draw.corrupted1.fully_observed
         assert not draw.corrupted0.fully_observed
 
