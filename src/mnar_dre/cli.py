@@ -416,6 +416,9 @@ def _cmd_emit_plot_data(args) -> int:
             fh.seek(0)
         rows = dataio._numbered_rows(csv.reader(fh), 0)
         _, header = next(rows, (0, []))
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise DataError(f"table header: column {name!r} is repeated")
         out_rows = []
         for row_num, row in rows:
             if not row:

@@ -675,6 +675,9 @@ def classifier_from_text(text: str) -> NpClassifier:
         raise DataError(f"unsupported score transform {kv['transform']!r}")
     model = _model_from_kv(kv, "model.")
     threshold = _field(kv, "threshold", float)
+    if math.isnan(threshold):
+        # No score exceeds nan, so it would label every point 0.
+        raise DataError(f"key 'threshold' must be a number or +-inf, got {kv['threshold']!r}")
     method = _field(kv, "method")
     provenance = ThresholdResult(
         value=threshold,

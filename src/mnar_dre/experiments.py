@@ -1,9 +1,11 @@
 """Replicated synthetic experiments: parameter-distance and power studies.
 
-Replications are embarrassingly parallel; each replication derives its own
-random stream from (seed, replication index) so results are identical for
-any worker count, and aggregation sorts before reducing so tables are
-byte-stable across reruns.
+Replications are embarrassingly parallel.  Each replication derives two
+random streams from (seed, replication index): a data stream, for its
+training, calibration and test draws, and a query stream, from which each
+fit that learns the missingness draws its queries afresh.  So results are
+identical for any worker count and for any list of estimators, and
+aggregation sorts before reducing so tables are byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -137,15 +139,10 @@ class Replication:
     failure: str | None = None
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
-
-
-def _draws_from_rng(name: str) -> bool:
-    """Whether ``_fit_model(name, ...)`` draws from its generator: only the
-    learned-missingness estimators do, for their queries.  ``_power_rep``
-    orders its stream by this."""
-    return name.removeprefix("nb-") == "mkliep-learned"
+def _rep_rng(seed: int, *key: int) -> np.random.Generator:
+    """The generator of stream ``key`` under ``seed``: ``(rep,)`` is the data
+    stream of replication ``rep``, and ``(rep, 1)`` its query stream."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def _fit_model(
@@ -162,7 +159,9 @@ def _fit_model(
     ``cckliep`` keeps its complete cases, ``kliep-oracle`` fits the latent
     data, and ``mkliep-learned`` weights by the missingness that
     ``learn_missingness`` learns from ``queries`` queries per class, class 1
-    first, drawn from ``rng``.
+    first, drawn from ``rng``.  The other estimators draw nothing, so only
+    ``mkliep-learned`` needs ``rng``; the experiments pass it the
+    replication's query stream.
     """
     base = name.removeprefix("nb-")
     corrupted = (draw.corrupted1, draw.corrupted0)
@@ -172,7 +171,7 @@ def _fit_model(
         data, mode = corrupted, COMPLETE_CASE
     elif base == "kliep-oracle":
         data, mode = (draw.latent1, draw.latent0), FULLY_OBSERVED
-    elif _draws_from_rng(name):
+    elif base == "mkliep-learned":
         phi1_hat = learn_missingness(draw.corrupted1, draw.latent1, queries, rng)
         phi0_hat = learn_missingness(draw.corrupted0, draw.latent0, queries, rng)
         data, mode = corrupted, Mnar(phi1_hat, phi0_hat)
@@ -201,16 +200,15 @@ def _msd_rep(payload) -> dict[str, Replication]:
 def _power_rep(payload) -> dict[str, Replication]:
     """The power, Type I error and degenerate (0 or 1) of each estimator.
 
-    The stream of ``rng`` is: the training draw, the calibration sample, the
-    ``n_test`` class-1 test points, the ``n_type1`` class-0 test points, and
-    then the queries of each estimator whose fit draws (``_draws_from_rng``).
-    The test points are drawn a row block at a time
-    (``GaussianMixture.sample_blocks``) and each block is classified as it
-    is drawn, by every classifier that exists by then, so the replication
-    keeps only their counts of positive labels: power and Type I error are
-    count / n.  The other estimators draw nothing, so their classifiers are
-    built before the test points.  When an estimator that draws is asked
-    for, the blocks are kept, and it scores them once it is fitted.
+    The data stream (``_rep_rng(seed, rep)``) is: the training draw, the
+    calibration sample, the ``n_test`` class-1 test points and the
+    ``n_type1`` class-0 test points.  A fit that queries draws its queries
+    from a fresh query stream (``_rep_rng(seed, rep, 1)``), so an estimator's
+    record does not depend on which other estimators are listed.  Every
+    classifier is built first; then the test points are drawn a row block at
+    a time (``GaussianMixture.sample_blocks``) and each block is classified
+    as it is drawn, so the replication keeps only the counts of positive
+    labels: power and Type I error are count / n.
     """
     cfg, scenario, n, rep = payload
     rng = _rep_rng(cfg.seed, rep)
@@ -220,52 +218,32 @@ def _power_rep(payload) -> dict[str, Replication]:
     if cfg.corrupt_class == 0:
         calib_values = draw.phi0.corrupt(calib_values, rng)
     calibration = Dataset(calib_values, 0)
-    failures = {}
-
-    def build(names):
-        """The classifier of each name, or None and its error in ``failures``."""
-        clfs = {}
-        for name in names:
-            try:
-                if name == "true-ratio":
-                    model = draw.true_log_ratio
-                else:
-                    model = _fit_model(name, draw, cfg.queries, rng)
-                clfs[name] = build_np_classifier(
-                    model,
-                    calibration,
-                    cfg.alpha,
-                    cfg.delta,
-                    phi0=draw.phi0,
-                    rule=cfg.threshold_rule,
-                )
-            except (NumericError, DataError) as exc:
-                clfs[name], failures[name] = None, type(exc).__name__
-        return clfs
-
-    def count_positives(clfs, block, count):
-        for name, clf in clfs.items():
-            if clf is not None:
-                count[name] += int(np.count_nonzero(classify(clf, block)))
-
-    learned = [name for name in cfg.estimators if _draws_from_rng(name)]
-    clfs = build([name for name in cfg.estimators if name not in learned])
+    clfs, failures = {}, {}
+    for name in cfg.estimators:
+        try:
+            if name == "true-ratio":
+                model = scenario.true_log_ratio
+            else:
+                model = _fit_model(name, draw, cfg.queries, _rep_rng(cfg.seed, rep, 1))
+            clfs[name] = build_np_classifier(
+                model,
+                calibration,
+                cfg.alpha,
+                cfg.delta,
+                phi0=draw.phi0,
+                rule=cfg.threshold_rule,
+            )
+        except (NumericError, DataError) as exc:
+            failures[name] = type(exc).__name__
     tests = ((scenario.class1, cfg.n_test), (scenario.class0, cfg.n_type1))
-    counts = (dict.fromkeys(cfg.estimators, 0), dict.fromkeys(cfg.estimators, 0))
-    kept = ([], [])
-    for (mix, size), count, keep in zip(tests, counts, kept):
+    counts = (dict.fromkeys(clfs, 0), dict.fromkeys(clfs, 0))
+    for (mix, size), count in zip(tests, counts):
         for block in mix.sample_blocks(size, rng):
-            count_positives(clfs, block, count)
-            if learned:
-                keep.append(block)
-    learned_clfs = build(learned)
-    for count, keep in zip(counts, kept):
-        for block in keep:
-            count_positives(learned_clfs, block, count)
-    clfs |= learned_clfs
+            for name, clf in clfs.items():
+                count[name] += int(np.count_nonzero(classify(clf, block)))
     out = {}
     for name in cfg.estimators:
-        clf = clfs[name]
+        clf = clfs.get(name)
         out[name] = Replication({}, failures[name]) if clf is None else Replication({
             "power": counts[0][name] / cfg.n_test,
             "type1": counts[1][name] / cfg.n_type1,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.special import expit
 
 # Floor on (1 - phi): evaluations are clamped into [0, 1 - EPS_PHI] so that
 # importance weights stay bounded by 1/EPS_PHI.
@@ -170,14 +171,10 @@ class LogisticScalar:
         if x.ndim != 1:
             raise ValueError("LogisticScalar expects a 1-D coordinate column")
         # 1/(1+e^t) = sigmoid(-t); computed stably via expit.
-        from scipy.special import expit
-
         return clamp_missing_prob(expit(-self.tau * (self.a0 + self.a1 * x)))
 
     def sup_prob(self) -> float:
         if self.a1 == 0.0:
-            from scipy.special import expit
-
             return float(clamp_missing_prob(expit(-self.tau * self.a0)))
         return 1.0 - EPS_PHI  # sup over the real line, then clamped
 

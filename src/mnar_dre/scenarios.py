@@ -31,7 +31,7 @@ exact tools used throughout the experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -352,7 +352,6 @@ class SyntheticDraw:
     corrupted0: Dataset
     phi1: MissingnessFunction
     phi0: MissingnessFunction
-    true_log_ratio: Callable[[np.ndarray], np.ndarray]
 
 
 def generate(
@@ -384,7 +383,6 @@ def generate(
         corrupted0=corrupted0,
         phi1=phi1,
         phi0=phi0,
-        true_log_ratio=scenario.true_log_ratio,
     )
 
 

@@ -231,6 +231,7 @@ class TestMalformedModelFiles:
         [
             ("threshold", None),
             ("threshold", "threshold = high"),
+            ("threshold", "threshold = nan"),
             ("alpha", "alpha = 0.2x"),
             ("degenerate", "degenerate = maybe"),
             ("model.theta", None),
@@ -975,6 +976,15 @@ def test_emit_plot_data_on_a_bad_field_exits_3(tmp_path, body, message, capsys):
     table.write_text(f"# command=experiment-msd\nn,msd_mean,ci_half\n{body}\n")
     assert cli.main(["emit-plot-data", "--table", str(table), "--out", str(plot)]) == 3
     assert f"data error: {message}" in capsys.readouterr().err
+    assert not plot.exists()
+
+
+def test_emit_plot_data_on_a_repeated_column_exits_3(tmp_path, capsys):
+    # Each row becomes a dict, so the last of two same-named cells would win.
+    table, plot = tmp_path / "table.csv", tmp_path / "plot.csv"
+    table.write_text("n,note,note,msd_mean,ci_half\n5,a,b,1.0,0.5\n")
+    assert cli.main(["emit-plot-data", "--table", str(table), "--out", str(plot)]) == 3
+    assert "data error: table header: column 'note' is repeated" in capsys.readouterr().err
     assert not plot.exists()
 
 

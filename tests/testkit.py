@@ -93,10 +93,10 @@ def rep_metric(reps: list[Replication], name: str) -> np.ndarray:
 
 
 def power_rep_materialized(payload) -> dict[str, Replication]:
-    """``experiments._power_rep`` as it read before it streamed its test
-    sets: both test sets are drawn whole, after the calibration sample, and
-    every estimator is fitted and then labels them whole, so power and
-    Type I error are label means."""
+    """``experiments._power_rep`` with its test sets held whole: both are
+    drawn after the calibration sample, and every estimator is fitted, with
+    its queries from the replication's query stream, and then labels them
+    whole, so power and Type I error are label means."""
     cfg, scenario, n, rep = payload
     rng = _rep_rng(cfg.seed, rep)
     draw = generate(scenario, n, rng, cfg.corrupt_class)
@@ -111,9 +111,9 @@ def power_rep_materialized(payload) -> dict[str, Replication]:
     for name in cfg.estimators:
         try:
             if name == "true-ratio":
-                model = draw.true_log_ratio
+                model = scenario.true_log_ratio
             else:
-                model = _fit_model(name, draw, cfg.queries, rng)
+                model = _fit_model(name, draw, cfg.queries, _rep_rng(cfg.seed, rep, 1))
             clf = build_np_classifier(
                 model,
                 calibration,
