@@ -47,7 +47,6 @@ from .model import (
     ConfigError,
     Dataset,
     DataError,
-    FeatureMap,
     MissingnessFunction,
     NumericError,
 )
@@ -109,12 +108,6 @@ def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name) is None:
             raise ConfigError(f"{flags[name]} is required")
-
-
-def _feature_map(kind: str | None, dim: int) -> FeatureMap:
-    if kind == "identity-squares":
-        return FeatureMap.identity_plus_squares(dim)
-    return FeatureMap.identity(dim)
 
 
 def _read_csv(args, path: str, require_class1: bool = True):
@@ -234,14 +227,20 @@ def _cmd_fit(args) -> int:
             _read_phi(args.phi, class1.dim), _read_phi(args.phi0, class0.dim)
         )
     else:
+        for flag in ("phi", "phi0"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(
+                    f"--{flag} is read only by --mode mkliep, not --mode {args.mode}"
+                )
         weighting = {"cckliep": COMPLETE_CASE, "kliep": FULLY_OBSERVED}[args.mode]
+    kind = args.features or "identity"
     if args.per_dim:
-        fmap1d = _feature_map(args.features, 1)
+        fmap1d = dataio._feature_map_from(kind, 1)
         model = naive_bayes.fit_naive_bayes(
             class1, class0, weighting, feature_map_1d=fmap1d
         )
     else:
-        fmap = _feature_map(args.features, class1.dim)
+        fmap = dataio._feature_map_from(kind, class1.dim)
         model = kliep.fit(class1, class0, fmap, weighting)
         model = model.with_normalizer(
             kliep.normalizing_constant(model, class0, weighting)
@@ -268,7 +267,7 @@ def _cmd_np_calibrate(args) -> int:
         fh.write(dataio.classifier_to_text(clf))
     reason = clf.degenerate_reason()
     print(
-        f"threshold {clf.threshold!r} (method {clf.method}, "
+        f"threshold {clf.threshold!r} (method {clf.provenance.method}, "
         f"degenerate {clf.provenance.degenerate}"
         + (f": {reason})" if reason else ")")
     )
@@ -288,7 +287,7 @@ def _cmd_classify(args) -> int:
                 f"class {ds.label} has missing entries; classify needs fully "
                 "observed points"
             )
-        scores = clf.score_fn(ds.values)
+        scores = clf.model.log_ratio(ds.values)
         classified.append((ds.label, scores, labels_from_scores(scores, clf.threshold)))
     meta = dataio.meta_text({"classifier": args.classifier})
     dataio.write_labels_csv(args.out, classified, meta)

@@ -44,7 +44,7 @@ from .model import (
     Zero,
 )
 from .naive_bayes import NaiveBayesRatioModel
-from .np_classify import PAPER_MARGIN_CONSTANT, NpClassifier, ThresholdResult
+from .np_classify import NpClassifier, ThresholdResult
 
 # ---------------------------------------------------------------------------
 # CSV ingestion / emission
@@ -644,24 +644,18 @@ def model_from_text(text: str):
 
 
 def classifier_to_text(clf: NpClassifier) -> str:
-    if clf.model is None:
-        raise DataError("only classifiers built from ratio models are serializable")
     p = clf.provenance
     items = [
         ("kind", "np-classifier"),
-        ("method", clf.method),
+        ("method", p.method),
         ("alpha", repr(float(clf.alpha))),
         ("delta", repr(float(clf.delta))),
         ("transform", "log"),  # scores are always the log ratio
         ("threshold", repr(float(clf.threshold))),
         ("i_star", "none" if p.order_index is None else str(p.order_index)),
         ("margin", "none" if p.margin is None else repr(float(p.margin))),
-        # The paper's margin constant is the only one; the two lines keep
-        # the file format.
-        ("margin_constant", repr(PAPER_MARGIN_CONSTANT)),
         ("degenerate", str(p.degenerate).lower()),
         ("all_missing", str(p.all_missing).lower()),
-        ("non_paper_margin", "false"),
         ("calibration_size", str(p.calibration_size)),
     ]
     return _kv_to_text(items + _model_items(clf.model, "model."))
@@ -678,7 +672,6 @@ def classifier_from_text(text: str) -> NpClassifier:
     if math.isnan(threshold):
         # No score exceeds nan, so it would label every point 0.
         raise DataError(f"key 'threshold' must be a number or +-inf, got {kv['threshold']!r}")
-    method = _field(kv, "method")
     provenance = ThresholdResult(
         value=threshold,
         order_index=_field(kv, "i_star", _none_or(int)),
@@ -686,14 +679,8 @@ def classifier_from_text(text: str) -> NpClassifier:
         all_missing=_field(kv, "all_missing", _parse_bool),
         margin=_field(kv, "margin", _none_or(float)),
         calibration_size=_field(kv, "calibration_size", int),
-        method=method,
+        method=_field(kv, "method"),
     )
     return NpClassifier(
-        score_fn=model.log_ratio,
-        threshold=threshold,
-        alpha=_field(kv, "alpha", float),
-        delta=_field(kv, "delta", float),
-        method=method,
-        provenance=provenance,
-        model=model,
+        model, _field(kv, "alpha", float), _field(kv, "delta", float), provenance
     )

@@ -221,10 +221,10 @@ def _power_rep(payload) -> dict[str, Replication]:
     clfs, failures = {}, {}
     for name in cfg.estimators:
         try:
-            if name == "true-ratio":
-                model = scenario.true_log_ratio
-            else:
-                model = _fit_model(name, draw, cfg.queries, _rep_rng(cfg.seed, rep, 1))
+            # The scenario is the true ratio's model.
+            model = scenario if name == "true-ratio" else _fit_model(
+                name, draw, cfg.queries, _rep_rng(cfg.seed, rep, 1)
+            )
             clfs[name] = build_np_classifier(
                 model,
                 calibration,

@@ -43,7 +43,7 @@ from .model import (
     NumericError,
 )
 from .optimize import newton
-from .weighting import point_importance_weights
+from .weighting import check_missing_possible, point_importance_weights
 
 # The benchmark tracer in benchmarks/tracing.py wraps the solver by this
 # module-level name and calls it as (objective, theta0, **kwargs); the fit
@@ -79,9 +79,10 @@ def class_terms(
 ) -> ClassTerms:
     """Resolve one class's rows into (features, weights, divisor).
 
-    Fully observed mode refuses incomplete data with ``DataError``; a class
-    with no fully observed row raises ``NumericError``, and an unknown mode
-    ``ValueError``.
+    Fully observed mode refuses incomplete data with ``DataError``, and MNAR
+    mode missing entries that its phi says never happen
+    (``check_missing_possible``); a class with no fully observed row raises
+    ``NumericError``, and an unknown mode ``ValueError``.
     """
     mnar = isinstance(mode, Mnar)
     if not mnar and mode not in (FULLY_OBSERVED, COMPLETE_CASE):
@@ -98,9 +99,9 @@ def class_terms(
         )
     observed = data.values.take(rows, axis=0)
     if mnar:
-        weights = point_importance_weights(
-            observed, mode.phi1 if class_index == 1 else mode.phi0
-        )
+        phi = mode.phi1 if class_index == 1 else mode.phi0
+        check_missing_possible(data, phi)
+        weights = point_importance_weights(observed, phi)
     else:
         weights = np.ones(rows.size)
     divisor = rows.size if mode == COMPLETE_CASE else data.n

@@ -274,7 +274,7 @@ class MissingnessFunction:
         return max(e.sup_prob() for e in self.entries)
 
     def is_zero(self) -> bool:
-        return all(isinstance(e, Zero) for e in self.entries)
+        return self.sup_prob() == 0.0
 
     def corrupt(self, values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Apply the missingness model to fully observed points.

@@ -17,6 +17,7 @@ import numpy as np
 from . import kliep
 from .kliep import FULLY_OBSERVED, Mnar, WeightingMode
 from .model import Dataset, FeatureMap, LogLinearRatioModel, MissingnessFunction
+from .weighting import check_missing_possible
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +90,10 @@ def fit_naive_bayes(
         raise ValueError("the per-dimension feature map must take 1-D input")
     if class1.dim != class0.dim:
         raise ValueError("class dimensions differ")
+    if isinstance(mode, Mnar):
+        # Checked on the whole classes, so an error names their columns.
+        check_missing_possible(class1, mode.phi1)
+        check_missing_possible(class0, mode.phi0)
     models = []
     for j in range(class1.dim):
         sub_mode = _slice_mode(mode, j)

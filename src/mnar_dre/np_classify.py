@@ -14,10 +14,13 @@ Two threshold selection rules over a class-0 calibration sample:
 rule for delta above 1/2; ``build_np_classifier`` and the experiments'
 config check both call it.
 
-Classification is strict: label 1 iff score(z) > threshold, so ties go to the
-error-controlled class.  Both rules are invariant to strictly increasing
-transforms of the score, which is why fitting the ratio up to a multiplicative
-constant suffices (scores default to the log ratio).
+A classifier holds a ratio model: any object whose ``log_ratio(z)`` scores
+the rows of ``z``, be it a fitted log-linear or naive-Bayes model or a
+scenario's true ratio (``Scenario.log_ratio``).  Classification is strict:
+label 1 iff log_ratio(z) > threshold, so ties go to the error-controlled
+class.  Both rules are invariant to strictly increasing transforms of the
+score, which is why fitting the ratio up to a multiplicative constant
+suffices.
 """
 
 from __future__ import annotations
@@ -25,25 +28,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 from scipy.special import gammaln
 
-from .model import (
-    ConfigError,
-    Dataset,
-    DataError,
-    LogLinearRatioModel,
-    MissingnessFunction,
-    row_blocks,
-)
-from .naive_bayes import NaiveBayesRatioModel
-from .weighting import point_importance_weights
+from .model import ConfigError, Dataset, DataError, MissingnessFunction, row_blocks
+from .weighting import check_missing_possible, point_importance_weights
 
 PAPER_MARGIN_CONSTANT = 16.0
-
-RatioModel = Union[LogLinearRatioModel, NaiveBayesRatioModel]
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +108,12 @@ def threshold_missing(
     w_sorted = weights[order]
     # Inclusive suffix weight starting at each position.
     suffix = np.cumsum(w_sorted[::-1])[::-1] / n0
-    # First position of each tied block, so tails are per distinct value.
+    # Only the first position of a tied block may qualify, so tails are per
+    # distinct value; the suffix never rises, so no later position of a
+    # block qualifies before its first.
     block_start = np.ones(n0, dtype=bool)
     block_start[1:] = s_sorted[1:] != s_sorted[:-1]
-    first_of_block = np.maximum.accumulate(np.where(block_start, np.arange(n0), 0))
-    ok = suffix[first_of_block] <= cutoff
+    ok = block_start & (suffix <= cutoff)
     idx = int(np.argmax(ok)) if ok.any() else None
     return ThresholdResult(
         value=math.inf if idx is None else float(s_sorted[idx]),
@@ -190,15 +183,17 @@ def threshold_binomial(
 
 @dataclass(frozen=True, eq=False)
 class NpClassifier:
-    """A score function, a threshold, and the (alpha, delta) provenance."""
+    """A ratio model, the (alpha, delta) it was calibrated at, and the
+    threshold it was calibrated to with that threshold's provenance."""
 
-    score_fn: Callable[[np.ndarray], np.ndarray]
-    threshold: float
+    model: object  # any object with log_ratio(z)
     alpha: float
     delta: float
-    method: str
     provenance: ThresholdResult
-    model: RatioModel | None = None
+
+    @property
+    def threshold(self) -> float:
+        return self.provenance.value
 
     def degenerate_reason(self) -> str | None:
         """Why no calibration score qualified as the threshold, or None.
@@ -232,7 +227,7 @@ class NpClassifier:
 
 
 def calibration_scores(
-    score_fn: Callable[[np.ndarray], np.ndarray],
+    model,
     calibration: Dataset,
     phi0: MissingnessFunction,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -240,25 +235,17 @@ def calibration_scores(
 
     Missing calibration points (any missing coordinate) take score -inf and
     weight 0.  The fully observed rows, taken once from
-    ``Dataset.observed_rows``, are scored and weighted by 1/(1 - phi0); a
-    zero ``phi0`` weighs each by exactly 1.
+    ``Dataset.observed_rows``, are scored by ``model.log_ratio`` and
+    weighted by 1/(1 - phi0); a zero ``phi0`` weighs each by exactly 1.
     """
     rows = np.flatnonzero(calibration.observed_rows())
     scores = np.full(calibration.n, -np.inf)
     weights = np.zeros(calibration.n)
     if rows.size:
         observed = calibration.values.take(rows, axis=0)
-        scores[rows] = score_fn(observed)
+        scores[rows] = model.log_ratio(observed)
         weights[rows] = point_importance_weights(observed, phi0)
     return scores, weights
-
-
-def _resolve_score_fn(model_or_fn) -> tuple[Callable, RatioModel | None]:
-    if isinstance(model_or_fn, (LogLinearRatioModel, NaiveBayesRatioModel)):
-        return model_or_fn.log_ratio, model_or_fn
-    if callable(model_or_fn):
-        return model_or_fn, None
-    raise TypeError("expected a ratio model or a score callable")
 
 
 def threshold_rule(rule: str, observed: bool, phi0_zero: bool, delta: float) -> str:
@@ -279,14 +266,14 @@ def threshold_rule(rule: str, observed: bool, phi0_zero: bool, delta: float) -> 
 
 
 def build_np_classifier(
-    model_or_score_fn,
+    model,
     calibration: Dataset,
     alpha: float,
     delta: float,
     phi0: MissingnessFunction | None = None,
     rule: str = "auto",
 ) -> NpClassifier:
-    """Calibrate a threshold on a fresh class-0 sample and wrap the score.
+    """Calibrate a threshold for ``model``'s log ratio on a fresh class-0 sample.
 
     ``rule`` (see ``threshold_rule``):
       * "auto"     -- binomial when the calibration sample is fully observed
@@ -303,25 +290,17 @@ def build_np_classifier(
         raise DataError("calibration data must come from class 0")
     if phi0 is None:
         phi0 = MissingnessFunction.none(calibration.dim)
-    score_fn, model = _resolve_score_fn(model_or_score_fn)
     observed = calibration.fully_observed
     if threshold_rule(rule, observed, phi0.is_zero(), delta) == "binomial":
         if not observed:
             raise DataError("binomial rule requires a fully observed calibration set")
-        result = threshold_binomial(score_fn(calibration.values), alpha, delta)
+        result = threshold_binomial(model.log_ratio(calibration.values), alpha, delta)
     else:
-        scores, weights = calibration_scores(score_fn, calibration, phi0)
+        check_missing_possible(calibration, phi0)
+        scores, weights = calibration_scores(model, calibration, phi0)
         m_eff0 = calibration.n * (1.0 - phi0.sup_prob())
         result = threshold_missing(scores, weights, alpha, delta, m_eff0)
-    return NpClassifier(
-        score_fn=score_fn,
-        threshold=result.value,
-        alpha=alpha,
-        delta=delta,
-        method=result.method,
-        provenance=result,
-        model=model,
-    )
+    return NpClassifier(model, alpha, delta, result)
 
 
 def labels_from_scores(scores: np.ndarray, threshold: float) -> np.ndarray:
@@ -339,17 +318,17 @@ def classify(clf: NpClassifier, z: np.ndarray) -> np.ndarray:
     """Labels of the points ``z`` by ``labels_from_scores``; an infinite
     threshold fixes every label, so the points are then not scored.
 
-    The points are scored a row block (``model.row_blocks``) at a time, so
-    the score function's temporaries stay cache-sized whatever the number
-    of points; every score function here scores each row on its own.  A
-    power replication (``experiments._power_rep``) calls it on each row
-    block of its test points as the block is drawn, and keeps only the
-    count of positive labels.
+    The points are scored by ``clf.model.log_ratio`` a row block
+    (``model.row_blocks``) at a time, so the scoring temporaries stay
+    cache-sized whatever the number of points; every ratio model scores
+    each row on its own.  A power replication (``experiments._power_rep``)
+    calls it on each row block of its test points as the block is drawn,
+    and keeps only the count of positive labels.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if math.isinf(clf.threshold):
         return labels_from_scores(np.empty(z.shape[0]), clf.threshold)
     labels = np.empty(z.shape[0], dtype=int)
     for rows in row_blocks(z.shape[0]):
-        labels[rows] = labels_from_scores(clf.score_fn(z[rows]), clf.threshold)
+        labels[rows] = labels_from_scores(clf.model.log_ratio(z[rows]), clf.threshold)
     return labels

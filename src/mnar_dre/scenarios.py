@@ -14,8 +14,9 @@ exact tools used throughout the experiments:
   only scores the draws, like a power replication's Monte Carlo test sets,
   never holds all n of them; ``sample`` writes the same blocks into one
   array,
-* the analytic log density ratio for oracle classifiers: each component's
-  log density is log_norm_k - |W_k' z' - W_k' mu_k'|^2 / 2 with the whitening
+* the analytic log density ratio ``Scenario.log_ratio``, which makes a
+  scenario the oracle classifier's ratio model: each component's log
+  density is log_norm_k - |W_k' z' - W_k' mu_k'|^2 / 2 with the whitening
   factor W_k = inv(L_k)'.  The points are evaluated component-major: one
   matmul against every W_k' stacked row-wise gives a (k d, n) array whose
   rows run over the points, each component's d rows of squares are summed,
@@ -231,7 +232,8 @@ class Scenario:
     def dim(self) -> int:
         return self.class1.dim
 
-    def true_log_ratio(self, z: np.ndarray) -> np.ndarray:
+    def log_ratio(self, z: np.ndarray) -> np.ndarray:
+        """The true log density ratio, so a scenario is itself a ratio model."""
         return self.class1.log_pdf(z) - self.class0.log_pdf(z)
 
     def phi_pair(self, corrupt_class: int = 1):

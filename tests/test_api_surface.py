@@ -92,3 +92,24 @@ def test_only_model_defines_exception_classes():
             if any(b.endswith(("Error", "Exception")) for b in bases):
                 offenders.append(f"{path.name}:{node.lineno} {node.name}")
     assert offenders == [], f"exception classes outside model.py: {offenders}"
+
+
+def test_classification_names_no_concrete_ratio_model():
+    # A classifier scores through its model's log_ratio alone, so the fitted
+    # models and a scenario's true ratio all classify alike; naming a model
+    # class here would bring a type switch back.
+    concrete = {"LogLinearRatioModel", "NaiveBayesRatioModel"}
+    offenders = []
+    for name in ("np_classify.py", "experiments.py"):
+        path = PACKAGE_DIR / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                found = {node.id}
+            elif isinstance(node, ast.Attribute):
+                found = {node.attr}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found = {alias.name.rpartition(".")[2] for alias in node.names}
+            else:
+                continue
+            offenders += [f"{name}:{node.lineno} {n}" for n in sorted(found & concrete)]
+    assert offenders == [], f"concrete ratio-model classes named: {offenders}"

@@ -196,6 +196,81 @@ class TestExitCodes:
         assert rc == 3
 
 
+class TestMissingnessFlags:
+    """Missing entries need a missingness that can produce them, and only
+    the MNAR fit reads a missingness file."""
+
+    @pytest.mark.parametrize("extra", [[], ["--per-dim"]])
+    def test_mkliep_fit_without_phi_on_a_missing_class1_exits_3(self, files, extra,
+                                                                capsys):
+        out = files["dir"] / "no-phi-model.txt"
+        rc = cli.main(["fit", "--mode", "mkliep", "--data", files["train"],
+                       "--out", str(out), *extra])
+        assert rc == 3
+        assert "class 1 has missing entries in columns [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.fixture(scope="class")
+    def holed_calibration(self, files):
+        """Class-0 points with column 1 missing wherever it exceeds 0.5."""
+        z = np.random.default_rng(5).normal(size=(400, 2))
+        z[z[:, 1] > 0.5, 1] = np.nan
+        path = files["dir"] / "holed-cal.csv"
+        dataio.write_dataset_csv(path, Dataset(z, 0), Dataset(np.ones((1, 2)), 1))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "phi0, code",
+        [(None, 3), ("dims = 2\n0 = logistic 0.0 1.0 -1\n1 = constant 0.0\n", 3),
+         ("dims = 2\n1 = constant 0.3\n", 0)],
+    )
+    def test_np_calibrate_on_missing_points_needs_phi0_there(
+        self, files, holed_calibration, phi0, code, capsys
+    ):
+        out = files["dir"] / "holed-clf.txt"
+        out.unlink(missing_ok=True)
+        argv = ["np-calibrate", "--model", files["model"], "--calibration",
+                holed_calibration, "--alpha", "0.2", "--delta", "0.2", "--out", str(out)]
+        if phi0 is not None:
+            path = files["dir"] / "holed-phi0.txt"
+            path.write_text(phi0)
+            argv += ["--phi0", str(path)]
+        assert cli.main(argv) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "class 0 has missing entries in columns [1]" in capsys.readouterr().err
+
+    def test_a_constant_zero_phi0_is_no_missingness(self, files):
+        texts = {}
+        for name, line in (("zero", "0 = zero"), ("constant", "0 = constant 0.0")):
+            phi0, out = files["dir"] / f"phi0-{name}.txt", files["dir"] / f"clf-{name}.txt"
+            phi0.write_text(f"dims = 2\n{line}\n")
+            assert cli.main(["np-calibrate", "--model", files["model"], "--calibration",
+                             files["cal"], "--alpha", "0.2", "--delta", "0.2",
+                             "--phi0", str(phi0), "--out", str(out)]) == 0
+            texts[name] = out.read_text()
+        assert texts["constant"] == texts["zero"]
+        assert "\nmethod = binomial\n" in texts["zero"]
+
+    @pytest.mark.parametrize("mode", ["kliep", "cckliep"])
+    @pytest.mark.parametrize("flag", ["phi", "phi0"])
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_phi_on_a_fit_that_reads_none_exits_2(self, files, mode, flag, by_config,
+                                                  capsys):
+        missing = str(files["dir"] / "no-such-phi.txt")
+        out = files["dir"] / "phi-flag-model.txt"
+        argv = ["fit", "--mode", mode, "--data", files["latent"], "--out", str(out)]
+        if by_config:
+            cfg = files["dir"] / f"phi-flag-{flag}.cfg"
+            cfg.write_text(f"{flag} = {missing}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += [f"--{flag}", missing]
+        assert cli.main(argv) == 2
+        assert f"--{flag} is read only by --mode mkliep" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _replace_line(text: str, key: str, new_line: str | None) -> str:
     """Swap (or drop, with None) the ``key = ...`` line of a key-value file."""
     lines = text.splitlines()

@@ -25,6 +25,7 @@ from mnar_dre.model import (
     Zero,
 )
 from mnar_dre.naive_bayes import NaiveBayesRatioModel
+from mnar_dre.scenarios import make_scenario
 from testkit import traced_peak
 
 
@@ -421,7 +422,7 @@ def test_classify_output_matches_the_dictwriter_oracle(tmp_path):
     rows = [
         {"true_label": ds.label, "score": float(s), "label": int(lab)}
         for ds in (class0, class1)
-        for s, lab in zip(clf.score_fn(ds.values), np_classify.classify(clf, ds.values))
+        for s, lab in zip(clf.model.log_ratio(ds.values), np_classify.classify(clf, ds.values))
     ]
     assert out.read_bytes() == _oracle_table(rows, {"classifier": str(clf_path)})
 
@@ -577,13 +578,10 @@ def _classifiers(draw):
         method="missing-weighted" if weighted else "binomial",
     )
     return np_classify.NpClassifier(
-        score_fn=model.log_ratio,
-        threshold=threshold,
+        model=model,
         alpha=draw(_UNIT.filter(lambda a: a > 0.0)),
         delta=draw(_UNIT.filter(lambda a: a > 0.0)),
-        method=provenance.method,
         provenance=provenance,
-        model=model,
     )
 
 
@@ -602,6 +600,58 @@ def test_classifier_text_round_trips_bit_for_bit(clf):
     assert (p.margin is None) == (q.margin is None)
     if q.margin is not None:
         assert _bits(p.margin) == _bits(q.margin)
+
+
+# A classifier file as written before its two constant lines,
+# margin_constant and non_paper_margin, were dropped.
+_OLD_CLASSIFIER_LINES = """\
+kind = np-classifier
+method = missing-weighted
+alpha = 0.1
+delta = 0.1
+transform = log
+threshold = 1.120826900143094
+i_star = 18860
+margin = 0.042919320525786946
+margin_constant = 16.0
+degenerate = false
+all_missing = false
+non_paper_margin = false
+calibration_size = 20000
+model.kind = naive-bayes
+model.dims = 2
+model.dim0.feature_map = identity
+model.dim0.input_dim = 1
+model.dim0.theta = -0.8425501991441926
+model.dim0.normalizer = 1.0222681084470253
+model.dim0.converged = true
+model.dim1.feature_map = identity
+model.dim1.input_dim = 1
+model.dim1.theta = 0.05833466835165188
+model.dim1.normalizer = 1.133326697704919
+model.dim1.converged = true
+""".splitlines(keepends=True)
+
+
+def test_a_file_with_the_dropped_lines_reads_to_the_same_classifier():
+    dropped = ("margin_constant = 16.0\n", "non_paper_margin = false\n")
+    old = "".join(_OLD_CLASSIFIER_LINES)
+    new = "".join(line for line in _OLD_CLASSIFIER_LINES if line not in dropped)
+    assert len(new) < len(old)
+    from_old, from_new = dataio.classifier_from_text(old), dataio.classifier_from_text(new)
+    assert dataio.classifier_to_text(from_old) == dataio.classifier_to_text(from_new) == new
+    _assert_models_bit_equal(from_old.model, from_new.model)
+    assert vars(from_old.provenance) == vars(from_new.provenance)
+    assert (from_old.threshold, from_old.alpha, from_old.delta) == (
+        from_new.threshold, from_new.alpha, from_new.delta)
+
+
+def test_a_classifier_of_a_true_ratio_is_not_written():
+    sc = make_scenario("gauss5d")
+    calibration = Dataset(sc.class0.sample(200, np.random.default_rng(0)), 0)
+    clf = np_classify.build_np_classifier(sc, calibration, 0.2, 0.2)
+    with pytest.raises(DataError, match="cannot serialize model of type Scenario"):
+        dataio.classifier_to_text(clf)
 
 
 _ENTRIES = st.one_of(

@@ -23,9 +23,8 @@ from testkit import Tabulated
 
 def _weighted_rule_margin(n, phi0=None, delta=0.2):
     calib = Dataset(np.random.default_rng(n).normal(size=(n, 1)), 0)
-    clf = build_np_classifier(
-        lambda z: z[:, 0], calib, 0.3, delta, phi0=phi0, rule="missing"
-    )
+    first = LogLinearRatioModel(np.array([1.0]), FeatureMap.identity(1))
+    clf = build_np_classifier(first, calib, 0.3, delta, phi0=phi0, rule="missing")
     return clf.provenance.margin
 
 

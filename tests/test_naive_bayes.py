@@ -4,6 +4,7 @@ import pytest
 from mnar_dre import kliep
 from mnar_dre.kliep import COMPLETE_CASE, Mnar
 from mnar_dre.model import (
+    ConstantProb,
     Dataset,
     FeatureMap,
     HalfspaceIndicator,
@@ -121,8 +122,9 @@ class TestFit:
     def test_error_tagged_with_dimension(self):
         d1 = Dataset(np.column_stack([np.ones(5), np.full(5, np.nan)]), 1)
         d0 = Dataset(np.ones((5, 2)), 0)
+        # Class 1's column 1 can go missing, and here all of it has.
         mode = Mnar(
-            MissingnessFunction.per_coordinate([Zero(), Zero()]),
+            MissingnessFunction.per_coordinate([Zero(), ConstantProb(0.5)]),
             MissingnessFunction.none(2),
         )
         # Class 0's constant column makes its second-moment matrix singular.

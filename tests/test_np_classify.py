@@ -200,15 +200,13 @@ class TestThresholdBinomial:
             threshold_binomial(np.array([1.0, -np.inf]), 0.1, 0.1)
 
 
-def _make_clf(score_fn, threshold, method="binomial"):
+def _make_clf(model, threshold, method="binomial"):
     from mnar_dre.np_classify import ThresholdResult
 
     return NpClassifier(
-        score_fn=score_fn,
-        threshold=threshold,
+        model=model,
         alpha=0.1,
         delta=0.1,
-        method=method,
         provenance=ThresholdResult(
             value=threshold, order_index=None, degenerate=not math.isfinite(threshold),
             all_missing=False, margin=None, calibration_size=0, method=method,
@@ -216,8 +214,13 @@ def _make_clf(score_fn, threshold, method="binomial"):
     )
 
 
-def _score_fns():
-    """A true-ratio, a log-linear and a naive-Bayes score function on R^2."""
+def _linear(*theta):
+    """The log-linear model theta'z, which scores z[:, 0] exactly for e_1."""
+    return LogLinearRatioModel(np.array(theta), FeatureMap.identity(len(theta)))
+
+
+def _models():
+    """A true-ratio, a log-linear and a naive-Bayes ratio model on R^2."""
     log_linear = LogLinearRatioModel(
         np.array([0.4, -0.3, 0.05, -0.02]),
         FeatureMap.identity_plus_squares(2),
@@ -230,9 +233,9 @@ def _score_fns():
         )
     )
     return {
-        "true-ratio": make_scenario("nb-rho", 0.5).true_log_ratio,
-        "log-linear": log_linear.log_ratio,
-        "naive-bayes": naive_bayes.log_ratio,
+        "true-ratio": make_scenario("nb-rho", 0.5),
+        "log-linear": log_linear,
+        "naive-bayes": naive_bayes,
     }
 
 
@@ -242,26 +245,27 @@ class TestClassify:
         n = 3 * ROW_BLOCK + 1
         calls = []
 
-        def score(v):
-            calls.append(len(v))
-            return v[:, 0]
+        class Recording:
+            def log_ratio(self, v):
+                calls.append(len(v))
+                return v[:, 0]
 
         z = np.random.default_rng(3).normal(size=(n, 2))
-        assert classify(_make_clf(score, math.inf), z).sum() == 0
-        assert classify(_make_clf(score, -math.inf), z).sum() == n
+        assert classify(_make_clf(Recording(), math.inf), z).sum() == 0
+        assert classify(_make_clf(Recording(), -math.inf), z).sum() == n
         assert calls == []
 
     @pytest.mark.parametrize("kind", ["true-ratio", "log-linear", "naive-bayes"])
     @pytest.mark.parametrize("n", [0, 1, ROW_BLOCK, 3 * ROW_BLOCK + 1])
     def test_blocked_labels_equal_labels_of_all_scores(self, kind, n):
-        score_fn = _score_fns()[kind]
+        model = _models()[kind]
         z = np.random.default_rng(n).normal(scale=2.0, size=(n, 2))
-        scores = score_fn(z)
+        scores = model.log_ratio(z)
         # Each block scores its rows to the same bits as one call over all.
-        blocked = [score_fn(z[rows]) for rows in row_blocks(n)]
+        blocked = [model.log_ratio(z[rows]) for rows in row_blocks(n)]
         assert np.array_equal(np.concatenate([scores[:0], *blocked]), scores)
         threshold = float(np.median(scores)) if n else 0.0
-        got = classify(_make_clf(score_fn, threshold), z)
+        got = classify(_make_clf(model, threshold), z)
         want = labels_from_scores(scores, threshold)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -273,14 +277,14 @@ class TestClassify:
         # labels.
         sc = make_scenario("gauss5d")
         z = sc.class0.sample(100_000, np.random.default_rng(1))
-        clf = _make_clf(sc.true_log_ratio, 0.0)
+        clf = _make_clf(sc, 0.0)
         labels, peak = traced_peak(lambda: classify(clf, z))
         k, d = sc.class1.weights.size, sc.dim
         assert labels.nbytes == z.shape[0] * 8
         assert peak <= labels.nbytes + 4 * ROW_BLOCK * k * d * 8
 
     def test_strict_inequality_ties_to_class0(self):
-        clf = _make_clf(lambda v: v[:, 0], 1.0)
+        clf = _make_clf(_linear(1.0), 1.0)
         assert classify(clf, np.array([[1.0], [1.0 + 1e-12]])).tolist() == [0, 1]
 
     @pytest.mark.parametrize("rule", ["binomial", "missing"])
@@ -290,12 +294,13 @@ class TestClassify:
         calib = Dataset(rng.normal(size=(400, 1)), 0)
         test = rng.normal(size=(1000, 1))
         alpha, delta = 0.3, 0.2
-        base = build_np_classifier(
-            lambda z: z[:, 0], calib, alpha, delta, rule=rule
-        )
-        transformed = build_np_classifier(
-            lambda z: 2.0 * z[:, 0] + 7.0, calib, alpha, delta, rule=rule
-        )
+
+        class Transformed:
+            def log_ratio(self, z):
+                return 2.0 * z[:, 0] + 7.0
+
+        base = build_np_classifier(_linear(1.0), calib, alpha, delta, rule=rule)
+        transformed = build_np_classifier(Transformed(), calib, alpha, delta, rule=rule)
         assert np.array_equal(classify(base, test), classify(transformed, test))
 
 
@@ -303,14 +308,14 @@ class TestCalibrationScores:
     def test_missing_points_score_minus_inf_weight_zero(self):
         calib = Dataset(np.array([[1.0], [np.nan], [2.0]]), 0)
         phi0 = MissingnessFunction.per_coordinate([ConstantProb(0.5)])
-        scores, weights = calibration_scores(lambda z: z[:, 0], calib, phi0)
+        scores, weights = calibration_scores(_linear(1.0), calib, phi0)
         assert scores[1] == -np.inf and weights[1] == 0.0
         assert weights[0] == pytest.approx(2.0)
 
     def test_zero_phi_gives_unit_weights(self):
         calib = Dataset(np.array([[1.0], [2.0]]), 0)
         scores, weights = calibration_scores(
-            lambda z: z[:, 0], calib, MissingnessFunction.none(1)
+            _linear(1.0), calib, MissingnessFunction.none(1)
         )
         assert np.array_equal(weights, [1.0, 1.0])
 
@@ -323,15 +328,15 @@ class TestBuildClassifier:
             np.where(rng.random((100, 1)) < 0.2, np.nan, rng.normal(size=(100, 1))), 0
         )
         phi0 = MissingnessFunction.per_coordinate([ConstantProb(0.2)])
-        a = build_np_classifier(lambda z: z[:, 0], clean, 0.3, 0.2)
-        b = build_np_classifier(lambda z: z[:, 0], holed, 0.3, 0.2, phi0=phi0)
-        assert a.method == "binomial"
-        assert b.method == "missing-weighted"
+        a = build_np_classifier(_linear(1.0), clean, 0.3, 0.2)
+        b = build_np_classifier(_linear(1.0), holed, 0.3, 0.2, phi0=phi0)
+        assert a.provenance.method == "binomial"
+        assert b.provenance.method == "missing-weighted"
 
     def test_calibration_must_be_class0(self):
         data = Dataset(np.ones((5, 1)), 1)
         with pytest.raises(DataError, match="class 0"):
-            build_np_classifier(lambda z: z[:, 0], data, 0.1, 0.1)
+            build_np_classifier(_linear(1.0), data, 0.1, 0.1)
 
     def test_binomial_rule_scores_without_weighing(self, monkeypatch):
         def no_weights(*args):
@@ -339,9 +344,9 @@ class TestBuildClassifier:
 
         monkeypatch.setattr(np_classify, "point_importance_weights", no_weights)
         calib = Dataset(np.random.default_rng(8).normal(size=(200, 2)), 0)
-        clf = build_np_classifier(lambda z: z[:, 0] - z[:, 1], calib, 0.1, 0.1)
+        clf = build_np_classifier(_linear(1.0, -1.0), calib, 0.1, 0.1)
         want = threshold_binomial(calib.values[:, 0] - calib.values[:, 1], 0.1, 0.1)
-        assert (clf.method, clf.threshold) == ("binomial", want.value)
+        assert (clf.provenance.method, clf.threshold) == ("binomial", want.value)
 
 
 @pytest.mark.parametrize(
@@ -406,7 +411,7 @@ class TestTypeOneGuarantee:
             x = phi0.corrupt(z, rng)
             calib = Dataset(x, 0)
             clf = build_np_classifier(
-                lambda v: v[:, 0], calib, alpha, delta, phi0=phi0, rule="missing"
+                _linear(1.0), calib, alpha, delta, phi0=phi0, rule="missing"
             )
             violations += norm.sf(clf.threshold) > alpha
         bound = delta + 3 * math.sqrt(delta * (1 - delta) / reps)

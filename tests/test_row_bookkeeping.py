@@ -166,14 +166,15 @@ def test_calibration_scores_match_the_boolean_indexing_oracle(sample):
     theta = np.linspace(-1.0, 1.0, data.dim)
     seen = []
 
-    def score_fn(z):
-        seen.append(z.shape[0])
-        return z @ theta
+    class Linear:
+        def log_ratio(self, z):
+            seen.append(z.shape[0])
+            return z @ theta
 
     observed = _oracle_observed(values)
     for phi0 in (MissingnessFunction.none(data.dim), *_phis(data.dim)):
         seen.clear()
-        scores, weights = calibration_scores(score_fn, data, phi0)
+        scores, weights = calibration_scores(Linear(), data, phi0)
         want = np.full(data.n, -np.inf)
         if observed.any():
             want[observed] = values[observed] @ theta

@@ -62,7 +62,7 @@ class TestGenerate:
         mu1 = np.full(5, 0.1)
         v = np.array([1.0, -1.0, 0.0, 0.0, 0.0])  # orthogonal to mu1
         z = (mu1 / 2.0 + 3.0 * v)[None, :]
-        assert sc.true_log_ratio(z)[0] == pytest.approx(0.0, abs=1e-12)
+        assert sc.log_ratio(z)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_mixture_log_ratio_matches_direct_density(self):
         from scipy.stats import multivariate_normal as mvn
@@ -71,7 +71,7 @@ class TestGenerate:
         z = np.random.default_rng(5).normal(size=(50, 2), scale=2.0)
         p1 = 0.5 * mvn.pdf(z, [0, 0], np.eye(2)) + 0.5 * mvn.pdf(z, [-1, 4], np.eye(2))
         p0 = 0.5 * mvn.pdf(z, [1, 0], np.eye(2)) + 0.5 * mvn.pdf(z, [0, 4], np.eye(2))
-        assert sc.true_log_ratio(z) == pytest.approx(np.log(p1 / p0), rel=1e-9)
+        assert sc.log_ratio(z) == pytest.approx(np.log(p1 / p0), rel=1e-9)
 
     def test_vary_misspec_rho_zero_is_single_gaussian(self):
         sc = make_scenario("vary-misspec", rho=0.0)
@@ -269,7 +269,7 @@ class TestGaussianMixture:
             sc.class0, z
         )
         np.testing.assert_allclose(
-            sc.true_log_ratio(z), expected, rtol=1e-12, atol=1e-13
+            sc.log_ratio(z), expected, rtol=1e-12, atol=1e-13
         )
 
     @pytest.mark.parametrize(

@@ -7,13 +7,16 @@ from mnar_dre.kliep import FULLY_OBSERVED, Mnar, class_terms
 from mnar_dre.model import (
     ConstantProb,
     Dataset,
+    DataError,
     FeatureMap,
+    HalfspaceIndicator,
+    LogLinearRatioModel,
     MAX_WEIGHT,
     MissingnessFunction,
     Zero,
 )
 from mnar_dre.np_classify import calibration_scores
-from mnar_dre.weighting import point_importance_weights
+from mnar_dre.weighting import check_missing_possible, point_importance_weights
 
 from testkit import Tabulated
 
@@ -39,10 +42,12 @@ class TestImportanceWeight:
     def test_missing_is_zero(self):
         # any missing coordinate drops the whole row: it weighs 0 among the
         # calibration weights and is left out of the class terms, while the
-        # divisor still counts it
+        # divisor still counts it.  Coordinate 1 goes missing only above
+        # 1.5, so the observed row weighs 2 * 1.
         values = np.array([[np.nan, 1.0], [2.0, np.nan], [1.0, 1.0]])
-        phi = _coords(ConstantProb(0.5), Zero())
-        _, w = calibration_scores(lambda z: z[:, 0], Dataset(values, 0), phi)
+        phi = _coords(ConstantProb(0.5), HalfspaceIndicator(np.array([1.0]), 1.5, 0.5))
+        first = LogLinearRatioModel(np.array([1.0, 0.0]), FeatureMap.identity(2))
+        _, w = calibration_scores(first, Dataset(values, 0), phi)
         assert w.tolist() == [0.0, 0.0, 2.0]
         t = _terms(values, phi)
         assert t.features.tolist() == [[1.0, 1.0]]
@@ -83,6 +88,28 @@ class TestImportanceWeight:
             np.array([[1.0, 2.0]]), _coords(ConstantProb(0.99), ConstantProb(0.99))
         )
         assert w[0] == MAX_WEIGHT
+
+
+class TestMissingPossible:
+    """A missing entry where phi says nothing goes missing is refused."""
+
+    def test_names_the_class_and_each_column_phi_keeps(self):
+        values = np.array([[np.nan, 1.0, np.nan], [2.0, np.nan, np.nan], [1.0, 1.0, 1.0]])
+        phi = _coords(Zero(), ConstantProb(0.3), ConstantProb(0.0))
+        with pytest.raises(DataError, match=r"class 1 .* columns \[0, 2\]"):
+            _terms(values, phi)
+        with pytest.raises(DataError, match=r"class 0 .* columns \[0, 2\]"):
+            check_missing_possible(Dataset(values, 0), phi)
+
+    def test_a_joint_phi_that_never_fires_names_every_holed_column(self):
+        values = np.array([[np.nan, np.nan], [1.0, 2.0]])
+        never = MissingnessFunction.whole_point(ConstantProb(0.0))
+        with pytest.raises(DataError, match=r"columns \[0, 1\]"):
+            _terms(values, never)
+        _terms(values, MissingnessFunction.whole_point(ConstantProb(0.2)))
+
+    def test_a_fully_observed_class_needs_no_missingness(self):
+        check_missing_possible(Dataset(np.ones((3, 2)), 1), _coords(Zero(), Zero()))
 
 
 class TestWeightedMean:

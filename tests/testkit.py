@@ -110,10 +110,9 @@ def power_rep_materialized(payload) -> dict[str, Replication]:
     out = {}
     for name in cfg.estimators:
         try:
-            if name == "true-ratio":
-                model = scenario.true_log_ratio
-            else:
-                model = _fit_model(name, draw, cfg.queries, _rep_rng(cfg.seed, rep, 1))
+            model = scenario if name == "true-ratio" else _fit_model(
+                name, draw, cfg.queries, _rep_rng(cfg.seed, rep, 1)
+            )
             clf = build_np_classifier(
                 model,
                 calibration,
