@@ -50,7 +50,8 @@ from .model import (
     MissingnessFunction,
     NumericError,
 )
-from .np_classify import build_np_classifier, labels_from_scores
+from .np_classify import build_np_classifier, labels_from_scores, threshold_rule
+from .weighting import check_missing_possible
 # Unused here; benchmarks/tracing.py wraps the classify step under this name.
 from .np_classify import classify as np_classify_points  # noqa: F401
 
@@ -221,11 +222,14 @@ def _trim_spec(spec: str) -> tuple[int, tuple[float, float]]:
 
 def _cmd_fit(args) -> int:
     _require(args, "data", "out", "mode")
-    class0, class1, _ = _read_csv(args, args.data)
+    class0, class1, names = _read_csv(args, args.data)
     if args.mode == "mkliep":
         weighting = Mnar(
             _read_phi(args.phi, class1.dim), _read_phi(args.phi0, class0.dim)
         )
+        # Checked here too, so that the error names the CSV's columns.
+        check_missing_possible(class1, weighting.phi1, names)
+        check_missing_possible(class0, weighting.phi0, names)
     else:
         for flag in ("phi", "phi0"):
             if getattr(args, flag) is not None:
@@ -257,21 +261,31 @@ def _cmd_np_calibrate(args) -> int:
     _require(args, "model", "calibration", "out", "alpha", "delta")
     with open(args.model) as fh:
         model = dataio.model_from_text(fh.read())
-    class0 = _read_csv(args, args.calibration, require_class1=False)[0]
+    class0, _, names = _read_csv(args, args.calibration, require_class1=False)
     _check_model_dim(model, class0)
     phi0 = _read_phi(args.phi0, class0.dim)
+    rule = args.rule or "auto"
+    observed = class0.fully_observed
+    if threshold_rule(rule, observed, phi0.is_zero(), args.delta) == "missing":
+        # Checked here too, so that the error names the CSV's columns.
+        check_missing_possible(class0, phi0, names)
     clf = build_np_classifier(
-        model, class0, args.alpha, args.delta, phi0=phi0, rule=args.rule or "auto"
+        model, class0, args.alpha, args.delta, phi0=phi0, rule=rule
     )
     with open(args.out, "w") as fh:
         fh.write(dataio.classifier_to_text(clf))
+    print(_threshold_summary(clf))
+    return 0
+
+
+def _threshold_summary(clf) -> str:
+    """The threshold, its method and, when degenerate, why."""
     reason = clf.degenerate_reason()
-    print(
+    return (
         f"threshold {clf.threshold!r} (method {clf.provenance.method}, "
         f"degenerate {clf.provenance.degenerate}"
         + (f": {reason})" if reason else ")")
     )
-    return 0
 
 
 def _cmd_classify(args) -> int:
@@ -291,6 +305,9 @@ def _cmd_classify(args) -> int:
         classified.append((ds.label, scores, labels_from_scores(scores, clf.threshold)))
     meta = dataio.meta_text({"classifier": args.classifier})
     dataio.write_labels_csv(args.out, classified, meta)
+    if math.isinf(clf.threshold):
+        label = int(clf.threshold < 0)
+        print(f"{_threshold_summary(clf)}; every point is labelled {label}")
     print(f"wrote {class0.n + class1.n} labels to {args.out}")
     return 0
 

@@ -654,6 +654,10 @@ def classifier_to_text(clf: NpClassifier) -> str:
         ("threshold", repr(float(clf.threshold))),
         ("i_star", "none" if p.order_index is None else str(p.order_index)),
         ("margin", "none" if p.margin is None else repr(float(p.margin))),
+    ]
+    if p.m_eff0 is not None:
+        items.append(("m_eff0", repr(float(p.m_eff0))))
+    items += [
         ("degenerate", str(p.degenerate).lower()),
         ("all_missing", str(p.all_missing).lower()),
         ("calibration_size", str(p.calibration_size)),
@@ -680,6 +684,7 @@ def classifier_from_text(text: str) -> NpClassifier:
         margin=_field(kv, "margin", _none_or(float)),
         calibration_size=_field(kv, "calibration_size", int),
         method=_field(kv, "method"),
+        m_eff0=_field(kv, "m_eff0", float, None),
     )
     return NpClassifier(
         model, _field(kv, "alpha", float), _field(kv, "delta", float), provenance

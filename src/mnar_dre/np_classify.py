@@ -198,8 +198,8 @@ class NpClassifier:
     def degenerate_reason(self) -> str | None:
         """Why no calibration score qualified as the threshold, or None.
 
-        The weighted rule's reason reads m_eff0, which a classifier built by
-        build_np_classifier carries and one read from a file does not.
+        The weighted rule's reason names m_eff0 when the provenance has it; a
+        classifier file written without an ``m_eff0`` line leaves it out.
         """
         p = self.provenance
         if not p.degenerate:
@@ -219,6 +219,8 @@ class NpClassifier:
                 "no calibration score has weighted tail <= alpha - margin = "
                 f"{self.alpha!r} - {p.margin:.6g}"
             )
+        if p.m_eff0 is None:
+            return why
         sup_phi0 = 1.0 - p.m_eff0 / n0
         return why + (
             f", with m_eff0 = n0 * (1 - sup phi0) = {n0} * (1 - {sup_phi0:.6g})"

@@ -40,12 +40,15 @@ def point_importance_weights(
     return np.minimum(prod, MAX_WEIGHT)
 
 
-def check_missing_possible(data: Dataset, phi: MissingnessFunction) -> None:
+def check_missing_possible(
+    data: Dataset, phi: MissingnessFunction, names: list[str] | None = None
+) -> None:
     """Refuse, with ``DataError``, missing entries that ``phi`` says never happen.
 
     A column with missing entries whose entry has ``sup_prob()`` 0 (for a
     joint ``phi`` that never goes missing, every column) would be weighted as
-    if nothing were missing.  The error names the class and every such column.
+    if nothing were missing.  The error names the class and every such
+    column, by its name in ``names`` when given, else by its 0-based index.
     """
     if data.fully_observed:
         return
@@ -55,6 +58,8 @@ def check_missing_possible(data: Dataset, phi: MissingnessFunction) -> None:
         never = [j for j, e in enumerate(phi.entries) if e.sup_prob() == 0.0]
     columns = [j for j in never if np.isnan(data.values[:, j]).any()]
     if columns:
+        if names is not None:
+            columns = [names[j] for j in columns]
         raise DataError(
             f"class {data.label} has missing entries in columns {columns}, where "
             "its missingness function gives probability 0; give the missingness "

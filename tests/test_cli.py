@@ -207,7 +207,8 @@ class TestMissingnessFlags:
         rc = cli.main(["fit", "--mode", "mkliep", "--data", files["train"],
                        "--out", str(out), *extra])
         assert rc == 3
-        assert "class 1 has missing entries in columns [0, 1]" in capsys.readouterr().err
+        assert ("class 1 has missing entries in columns ['f0', 'f1']"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.fixture(scope="class")
@@ -238,7 +239,22 @@ class TestMissingnessFlags:
         assert cli.main(argv) == code
         assert out.exists() == (code == 0)
         if code:
-            assert "class 0 has missing entries in columns [1]" in capsys.readouterr().err
+            assert "class 0 has missing entries in columns ['f1']" in capsys.readouterr().err
+
+    def test_the_error_names_the_csv_header_columns(self, files, capsys):
+        # Class 1 misses "weight" and class 0 misses "height".
+        data = files["dir"] / "named.csv"
+        data.write_text("height,weight,label\n1.0,NA,1\n2.0,0.5,1\n0.1,0.2,1\n"
+                        "NA,0.3,0\n0.4,0.1,0\n0.2,0.9,0\n")
+        model = files["dir"] / "named-model.txt"
+        argv = ["fit", "--mode", "mkliep", "--data", str(data), "--out", str(model)]
+        capsys.readouterr()
+        assert cli.main(argv) == 3
+        assert "class 1 has missing entries in columns ['weight']" in capsys.readouterr().err
+        assert cli.main(["np-calibrate", "--model", files["model"], "--calibration",
+                         str(data), "--alpha", "0.2", "--delta", "0.2", "--out",
+                         str(files["dir"] / "named-clf.txt")]) == 3
+        assert "class 0 has missing entries in columns ['height']" in capsys.readouterr().err
 
     def test_a_constant_zero_phi0_is_no_missingness(self, files):
         texts = {}
@@ -1101,9 +1117,38 @@ def test_np_calibrate_says_why_the_threshold_is_degenerate(files, capsys):
     assert "threshold inf" in printed and "degenerate True: margin " in printed
     assert ">= alpha 0.2" in printed
     assert "m_eff0 = n0 * (1 - sup phi0) = 300 * (1 - 0.999) = 0.3" in printed
-    # The classifier file carries no new line.
+    # The classifier file keeps m_eff0, so classify can give the same reason.
     text = out.read_text()
-    assert "m_eff0" not in text and "degenerate = true" in text
+    assert text.count("m_eff0 = ") == 1 and "degenerate = true" in text
+    labels = files["dir"] / "degenerate-labels.csv"
+    assert cli.main(["classify", "--classifier", str(out), "--data", files["test"],
+                     "--out", str(labels)]) == 0
+    said = capsys.readouterr().out
+    assert printed.strip() + "; every point is labelled 0" in said
+    rows = labels.read_text().splitlines()[2:]
+    assert rows and all(row.endswith(",0") for row in rows)
+
+
+def test_classify_says_a_minus_inf_threshold_labels_every_point_1(files, capsys):
+    text = Path(files["clf"]).read_text()
+    finite = next(line for line in text.splitlines() if line.startswith("threshold = "))
+    clf = files["dir"] / "clf-minus-inf.txt"
+    clf.write_text(text.replace(finite, "threshold = -inf"))
+    out = files["dir"] / "labels-minus-inf.csv"
+    capsys.readouterr()
+    assert cli.main(["classify", "--classifier", str(clf), "--data", files["test"],
+                     "--out", str(out)]) == 0
+    assert ("threshold -inf (method binomial, degenerate False); every point is "
+            "labelled 1") in capsys.readouterr().out
+    rows = out.read_text().splitlines()[2:]
+    assert len(rows) == 600 and all(row.endswith(",1") for row in rows)
+
+
+def test_classify_with_a_finite_threshold_prints_no_threshold(files, capsys):
+    capsys.readouterr()
+    assert cli.main(["classify", "--classifier", files["clf"], "--data", files["test"],
+                     "--out", str(files["dir"] / "labels-finite.csv")]) == 0
+    assert "threshold" not in capsys.readouterr().out
 
 
 def test_fit_calibrate_classify_chain_reruns_byte_identical(files):

@@ -576,6 +576,8 @@ def _classifiers(draw):
                               allow_infinity=False)) if weighted else None,
         calibration_size=draw(st.integers(1, 10**6)),
         method="missing-weighted" if weighted else "binomial",
+        m_eff0=draw(st.floats(min_value=0.0, exclude_min=True,
+                              allow_infinity=False)) if weighted else None,
     )
     return np_classify.NpClassifier(
         model=model,
@@ -597,9 +599,11 @@ def test_classifier_text_round_trips_bit_for_bit(clf):
     p, q = back.provenance, clf.provenance
     assert (p.order_index, p.degenerate, p.all_missing, p.calibration_size, p.method) == (
         q.order_index, q.degenerate, q.all_missing, q.calibration_size, q.method)
-    assert (p.margin is None) == (q.margin is None)
-    if q.margin is not None:
-        assert _bits(p.margin) == _bits(q.margin)
+    for name in ("margin", "m_eff0"):
+        a, b = getattr(p, name), getattr(q, name)
+        assert (a is None) == (b is None)
+        if b is not None:
+            assert _bits(a) == _bits(b)
 
 
 # A classifier file as written before its two constant lines,
@@ -644,6 +648,33 @@ def test_a_file_with_the_dropped_lines_reads_to_the_same_classifier():
     assert vars(from_old.provenance) == vars(from_new.provenance)
     assert (from_old.threshold, from_old.alpha, from_old.delta) == (
         from_new.threshold, from_new.alpha, from_new.delta)
+
+
+def _degenerate_weighted_classifier():
+    """The weighted rule at n0 = 50 with phi0 = 1/2: its margin exceeds alpha."""
+    return np_classify.build_np_classifier(
+        LogLinearRatioModel(theta=np.array([1.0]), feature_map=FeatureMap.identity(1)),
+        Dataset(np.random.default_rng(0).normal(size=(50, 1)), 0), 0.1, 0.1,
+        MissingnessFunction.per_coordinate([ConstantProb(0.5)]), "missing")
+
+
+def test_a_degenerate_weighted_classifier_gives_its_reason_after_a_round_trip():
+    clf = _degenerate_weighted_classifier()
+    reason = clf.degenerate_reason()
+    assert reason.startswith("margin 1.21394 >= alpha 0.1") and reason.endswith("= 25")
+    text = dataio.classifier_to_text(clf)
+    assert text.count("m_eff0 = ") == 1
+    back = dataio.classifier_from_text(text)
+    assert back.degenerate_reason() == reason
+    assert dataio.classifier_to_text(back) == text
+
+
+def test_a_file_without_m_eff0_gives_the_reason_without_it():
+    text = dataio.classifier_to_text(_degenerate_weighted_classifier())
+    old = "".join(line for line in text.splitlines(True) if not line.startswith("m_eff0"))
+    assert len(old.splitlines()) == len(text.splitlines()) - 1
+    assert dataio.classifier_from_text(old).degenerate_reason() == (
+        "margin 1.21394 >= alpha 0.1")
 
 
 def test_a_classifier_of_a_true_ratio_is_not_written():

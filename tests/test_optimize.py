@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from mnar_dre.kliep import (
     COMPLETE_CASE,
     FULLY_OBSERVED,
+    ClassTerms,
     Mnar,
     _KliepCore,
     class_terms,
@@ -13,6 +15,8 @@ from mnar_dre.missingness import _logistic_nll
 from mnar_dre.model import Dataset, FeatureMap, HalfspaceIndicator, MissingnessFunction
 from mnar_dre.optimize import GRAD_TOL, newton
 from mnar_dre.scenarios import generate, make_scenario
+
+from testkit import broadcast_hessian
 
 
 class TestNewton:
@@ -102,3 +106,41 @@ def test_every_fit_converges(scenario, n, mode_name):
     core = _KliepCore(class_terms(d1, fmap, mode, 1), class_terms(d0, fmap, mode, 0))
     grad = core.loss_grad_hess(model.theta)[1]
     assert np.linalg.norm(grad) <= GRAD_TOL
+
+
+_SIZES = [1, 2, 3, 500, 20000]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", _SIZES)
+@pytest.mark.parametrize("underflow", [False, True])
+def test_kliep_hessian_equals_the_broadcast_form_bit_for_bit(d, n, underflow):
+    rng = np.random.default_rng((d, n))
+    f0 = rng.normal(size=(n, d))
+    w0 = np.logspace(-300.0, 0.0, n)
+    rng.shuffle(w0)
+    t1 = ClassTerms(rng.normal(size=(3, d)), np.ones(3), 3)
+    core = _KliepCore(t1, ClassTerms(f0, w0, n))
+    # A long theta leaves one tilted weight and underflows the rest to 0.
+    theta = rng.normal(size=d) * (1e5 if underflow else 0.5)
+    e = f0 @ theta + np.log(w0)
+    e = np.exp(e - e.max())
+    if underflow and n > 1:
+        assert np.count_nonzero(e) == 1
+    denom = e.sum()
+    want = broadcast_hessian(f0, e / denom, (e @ f0) / denom)
+    assert np.array_equal(core.loss_grad_hess(theta)[2], want)
+
+
+@pytest.mark.parametrize("n", _SIZES)
+@pytest.mark.parametrize("scale", [0.5, 700.0])
+def test_logistic_hessian_equals_the_broadcast_form_bit_for_bit(n, scale):
+    # At scale 700 the weights p (1 - p) run down to about 1e-300.
+    rng = np.random.default_rng(n)
+    z = rng.uniform(-1.0, 1.0, size=n)
+    y = (rng.random(n) < 0.5).astype(float)
+    beta = np.array([0.1, scale])
+    eta = beta[0] + beta[1] * z
+    X = np.column_stack([np.ones(n), z])
+    want = broadcast_hessian(X, expit(eta) * expit(-eta))
+    assert np.array_equal(_logistic_nll(z, y)(beta)[2], want)

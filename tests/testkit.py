@@ -1,7 +1,8 @@
 """Helpers that only the tests use: a callable-backed missingness entry, a
-simulation cross-check of the exact population oracle, the peak memory of
-one call, one metric over replication records, and a power replication that
-holds its whole test sets."""
+simulation cross-check of the exact population oracle, a per-row broadcast
+oracle of the objectives' Hessians, the peak memory of one call, one metric
+over replication records, and a power replication that holds its whole test
+sets."""
 
 from __future__ import annotations
 
@@ -71,6 +72,14 @@ def population_theta_plugin(
         if best is None or res.fun < best.fun:
             best = res
     return np.asarray(best.x, dtype=float)
+
+
+def broadcast_hessian(x: np.ndarray, w: np.ndarray, center=None) -> np.ndarray:
+    """``(fc * w[:, None]).T @ fc`` with ``fc = x - center`` (``x`` itself
+    without a center): the weighted second-moment matrix built by
+    broadcasting over the rows of ``x``."""
+    fc = x if center is None else x - center
+    return (fc * w[:, None]).T @ fc
 
 
 def traced_peak(call: Callable[[], object]) -> tuple[object, int]:
